@@ -8,12 +8,11 @@ volume-growth bounds.
 
 from .graph import (GraphConstants, GraphFormatError, UnreachableError,
                     WeightedGraph, as_vertex_function, generate, graph_from_dict,
-                    graph_to_dict, load_graph, load_vertex_function, save_graph,
-                    save_vertex_function)
+                    graph_to_dict, load_graph, save_graph)
 from .calculus import (gamma, laplacian, neg_sqrt_laplacian_bound,
                        sqrt_identity_residual)
 from .semigroup import (HeatKernel, compose, dense_oracle, evolve, evolve_many,
-                        generator, heat_kernel, jump_matrix)
+                        generator, heat_kernel)
 from .estimates import (HypothesisError, gradient_estimate, gradient_lhs,
                         harnack_factor, heat_gradient_estimate,
                         heat_kernel_lower_bound, heat_kernel_upper_bound,

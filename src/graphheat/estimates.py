@@ -18,8 +18,6 @@ from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate
 from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, BoundReport
 from .semigroup import evolve, evolve_many, heat_kernel
 
-_EXP_OVERFLOW = 709.0  # log of the largest finite double
-
 
 class HypothesisError(ValueError):
     """A verifier's structural hypothesis (mu = deg, symmetric weights) is
@@ -203,20 +201,23 @@ def min_form_bound(d_mu: float, n: float, K: float, alpha: float,
 
 # -- Harnack inequality --------------------------------------------------------
 
-def harnack_exponent(c: GraphConstants, hop_dist: float, gap: float) -> float:
-    return 2.0 * c.d_mu * gap + (4.0 * c.mu_max / c.w_min) * hop_dist**2 / gap
+def _harnack_form(c: GraphConstants, hops, gap: float):
+    """exp{2 d_mu gap + (4 mu_max/w_min) hops^2/gap}, elementwise in hops;
+    +inf where the exponent overflows a double."""
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * c.d_mu * gap
+                      + (4.0 * c.mu_max / c.w_min) * np.square(hops) / gap)
 
 
 def harnack_factor(g: WeightedGraph, x, y, t1: float, t2: float) -> float:
     """exp{2 d_mu (t2-t1) + (4 mu_max/w_min) dist(x,y)^2/(t2-t1)}; always >= 1.
 
-    Returns math.inf explicitly when the exponent overflows a double (the
-    bound degenerates as t2 - t1 -> 0+ at positive distance).
+    Returns math.inf when the exponent overflows a double (the bound
+    degenerates as t2 - t1 -> 0+ at positive distance).
     """
     if t1 >= t2:
         raise ValueError("requires t1 < t2")
-    expo = harnack_exponent(g.constants(), g.dist(x, y), t2 - t1)
-    return math.inf if expo > _EXP_OVERFLOW else math.exp(expo)
+    return float(_harnack_form(g.constants(), g.dist(x, y), t2 - t1))
 
 
 def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None,
@@ -243,18 +244,16 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None,
                      for _ in range(max_pairs)]
     else:
         pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
+    pairs = [(i, j) for i, j in pairs if np.isfinite(D[i, j])]
     reports = []
     for a, t1 in enumerate(times):
         for t2 in times[a + 1:]:
+            F = _harnack_form(c, D, t2 - t1)
             for i, j in pairs:
-                if not np.isfinite(D[i, j]):
-                    continue
-                expo = harnack_exponent(c, D[i, j], t2 - t1)
-                factor = math.inf if expo > _EXP_OVERFLOW else math.exp(expo)
                 reports.append(BoundReport(
                     "harnack", [g.ids[i], t1, g.ids[j], t2],
                     float(snapshots[t1][i]),
-                    float(snapshots[t2][j] * factor),
+                    float(snapshots[t2][j] * F[i, j]),
                     abs_tol=abs_tol, rel_tol=rel_tol))
     return reports
 
@@ -278,12 +277,9 @@ def harnack_sweep(g: WeightedGraph, u0s, time_grid, tol=1e-12):
     max_ratio = 0.0
     for a, t1 in enumerate(times):
         for t2 in times[a + 1:]:
-            expo = (2.0 * c.d_mu * (t2 - t1)
-                    + (4.0 * c.mu_max / c.w_min) * D**2 / (t2 - t1))
-            with np.errstate(over="ignore"):
-                F = np.exp(np.minimum(expo, _EXP_OVERFLOW))
-                # ratio[x, y, k] = u(x, t1, k) / (F[x, y] * u(y, t2, k))
-                ratio = U[t1][:, None, :] / (F[:, :, None] * U[t2][None, :, :])
+            F = _harnack_form(c, D, t2 - t1)
+            # ratio[x, y, k] = u(x, t1, k) / (F[x, y] * u(y, t2, k))
+            ratio = U[t1][:, None, :] / (F[:, :, None] * U[t2][None, :, :])
             n_checks += ratio.size
             n_fail += int(np.count_nonzero(ratio > 1.0 + 1e-9))
             max_ratio = max(max_ratio, float(ratio.max()))
@@ -328,6 +324,12 @@ def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None,
     return reports
 
 
+def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
+    """(1/deg_y) exp{-2t - (4 mu_max/w_min) hops^2/t}, elementwise."""
+    expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * np.square(hops) / t
+    return np.exp(expo) / deg_y
+
+
 def heat_kernel_lower_bound(g: WeightedGraph, t: float, x, y) -> float:
     """(1/deg(y)) * exp{-2t - (4 mu_max/w_min) dist(x,y)^2 / t}; requires
     mu = deg and symmetric weights."""
@@ -335,9 +337,8 @@ def heat_kernel_lower_bound(g: WeightedGraph, t: float, x, y) -> float:
         raise ValueError("t must be positive")
     _require_symmetric(g, "heat kernel lower bound")
     _require_mu_deg(g, "heat kernel lower bound")
-    c = g.constants()
-    expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * g.dist(x, y)**2 / t
-    return math.exp(expo) / g.degree(y)
+    return float(_kernel_lower_form(g.constants(), g.dist(x, y), t,
+                                    g.degree(y)))
 
 
 def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None,
@@ -346,19 +347,15 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None,
     _require_mu_deg(g, "heat kernel lower bound")
     if kernel is None:
         kernel = heat_kernel(g, t)
-    c = g.constants()
     D = g.distance_matrix()
-    reports = []
-    for i, x in enumerate(g.ids):
-        for j, y in enumerate(g.ids):
-            if not np.isfinite(D[i, j]):
-                continue
-            expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * D[i, j]**2 / t
-            reports.append(BoundReport(
-                "kernel_lower", [x, y, t],
-                math.exp(expo) / g.degree(y), float(kernel.matrix[i, j]),
-                abs_tol=abs_tol, rel_tol=rel_tol))
-    return reports
+    bound = _kernel_lower_form(g.constants(), D, t, g.degrees)
+    return [
+        BoundReport("kernel_lower", [x, y, t], float(bound[i, j]),
+                    float(kernel.matrix[i, j]),
+                    abs_tol=abs_tol, rel_tol=rel_tol)
+        for i, x in enumerate(g.ids) for j, y in enumerate(g.ids)
+        if np.isfinite(D[i, j])
+    ]
 
 
 def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None,
@@ -375,6 +372,11 @@ def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None,
     ]
 
 
+def _volume_growth_factor(c: GraphConstants, t: float) -> float:
+    """exp{t + 4 sqrt(2 mu_max t / w_min)}."""
+    return math.exp(t + 4.0 * math.sqrt(2.0 * c.mu_max * t / c.w_min))
+
+
 def volume_growth_bound(g: WeightedGraph, y, t: float) -> float:
     """Vol(B(y, 1)) * exp{t + 4 sqrt(2 mu_max t / w_min)}; dominates
     Vol(B(y, sqrt t)) under mu = deg with symmetric weights."""
@@ -382,9 +384,7 @@ def volume_growth_bound(g: WeightedGraph, y, t: float) -> float:
         raise ValueError("t must be positive")
     _require_symmetric(g, "volume growth bound")
     _require_mu_deg(g, "volume growth bound")
-    c = g.constants()
-    return g.ball_volume(y, 1.0) * math.exp(
-        t + 4.0 * math.sqrt(2.0 * c.mu_max * t / c.w_min))
+    return g.ball_volume(y, 1.0) * _volume_growth_factor(g.constants(), t)
 
 
 def verify_volume_growth(g: WeightedGraph, times, abs_tol=DEFAULT_ABS_TOL,
@@ -402,7 +402,7 @@ def verify_volume_growth(g: WeightedGraph, times, abs_tol=DEFAULT_ABS_TOL,
     for t in times:
         if t <= 0:
             raise ValueError("times must be positive")
-        factor = math.exp(t + 4.0 * math.sqrt(2.0 * c.mu_max * t / c.w_min))
+        factor = _volume_growth_factor(c, t)
         for y in g.ids:
             lhs = g.ball_volume(y, math.sqrt(t))
             rhs = g.ball_volume(y, 1.0) * factor

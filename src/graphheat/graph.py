@@ -8,8 +8,9 @@ format used by the command-line tools.
 from __future__ import annotations
 
 import json
-from collections import deque
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class WeightedGraph:
     Vertices are opaque string ids; internally they are mapped to contiguous
     integer indices in insertion order. The weight matrix W has
     W[i, j] = w_ij when j is adjacent to i and 0 otherwise. Graphs are
-    immutable after construction.
+    immutable after construction, so the derived data (constants, neighbour
+    lists, hop distances) is computed once, on first use, and kept read-only.
     """
 
     def __init__(self, vertex_ids, edges, mu=None, weights_symmetric=True,
@@ -86,8 +88,9 @@ class WeightedGraph:
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {u!r}")
             w = float(w)
-            if w <= 0:
-                raise GraphFormatError(f"nonpositive weight {w} on edge ({u},{v})")
+            if not 0 < w < math.inf:
+                raise GraphFormatError(
+                    f"weight {w} on edge ({u},{v}) is not positive and finite")
             if W[i, j] != 0 or (self.weights_symmetric and W[j, i] != 0):
                 raise GraphFormatError(f"duplicate edge ({u},{v})")
             W[i, j] = w
@@ -116,8 +119,8 @@ class WeightedGraph:
                 mu_arr = np.asarray(mu, dtype=float)
                 if mu_arr.shape != (n,):
                     raise GraphFormatError("mu must have one value per vertex")
-        if np.any(mu_arr <= 0):
-            raise GraphFormatError("vertex measure must be strictly positive")
+        if not np.all((0 < mu_arr) & (mu_arr < np.inf)):
+            raise GraphFormatError("vertex measure must be positive and finite")
         self.mu = mu_arr
         self.mu.setflags(write=False)
 
@@ -149,6 +152,10 @@ class WeightedGraph:
 
     def constants(self) -> GraphConstants:
         """Exact max/min constants over the finite vertex and edge sets."""
+        return self._constants
+
+    @cached_property
+    def _constants(self) -> GraphConstants:
         mask = self.W > 0
         if not mask.any():
             raise GraphFormatError("constants undefined on an edgeless graph")
@@ -163,44 +170,51 @@ class WeightedGraph:
             d_w=float(np.max(deg_rows / w_adj)),
         )
 
+    @cached_property
+    def neighbors(self) -> tuple:
+        """neighbors[i]: the indices j with W[i, j] > 0, ascending."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.W)
+
     # -- metric structure --------------------------------------------------
 
-    def _bfs_from(self, i: int) -> np.ndarray:
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[i] = 0
-        q = deque([i])
-        while q:
-            u = q.popleft()
-            for v in np.nonzero(self.W[u])[0]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(int(v))
-        return dist
+    @cached_property
+    def _hops(self) -> np.ndarray:
+        # one breadth-first search per source over the neighbour lists
+        nbrs = self.neighbors
+        D = np.full((self.n, self.n), np.inf)
+        for s, row in enumerate(D):
+            seen = {s}
+            frontier = [s]
+            hops = 0
+            while frontier:
+                row[frontier] = hops
+                hops += 1
+                nxt = []
+                for u in frontier:
+                    for v in nbrs[u]:
+                        if v not in seen:
+                            seen.add(v)
+                            nxt.append(v)
+                frontier = nxt
+        D.setflags(write=False)
+        return D
 
     def dist(self, x, y) -> int:
         """Hop-count distance (minimum number of edges on a path x -> y)."""
-        i, j = self._resolve(x), self._resolve(y)
-        if i == j:
-            return 0
-        d = self._bfs_from(i)[j]
-        if d < 0:
+        d = self._hops[self._resolve(x), self._resolve(y)]
+        if d == np.inf:
             raise UnreachableError(f"no path from {x!r} to {y!r}")
         return int(d)
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs hop distances; unreachable pairs are +inf."""
-        out = np.empty((self.n, self.n))
-        for i in range(self.n):
-            d = self._bfs_from(i)
-            out[i] = np.where(d < 0, np.inf, d)
-        return out
+        """All-pairs hop distances, read-only; unreachable pairs are +inf."""
+        return self._hops
 
     def ball(self, x, r: float) -> np.ndarray:
         """Indices of the closed ball {z : dist(x, z) <= r}."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        d = self._bfs_from(self._resolve(x))
-        return np.nonzero((d >= 0) & (d <= r))[0]
+        return np.nonzero(self._hops[self._resolve(x)] <= r)[0]
 
     def ball_volume(self, x, r: float) -> float:
         """mu-measure of the closed hop-distance ball around x."""
@@ -226,20 +240,6 @@ def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
     return arr
 
 
-def load_vertex_function(path, g: WeightedGraph) -> np.ndarray:
-    """Read {"values": {"<id>": number}} JSON into an array over g."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return as_vertex_function(g, obj["values"])
-
-
-def save_vertex_function(path, g: WeightedGraph, f) -> None:
-    f = as_vertex_function(g, f)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"values": {v: f[i] for i, v in enumerate(g.ids)}}, fh, indent=1)
-        fh.write("\n")
-
-
 # -- file format -------------------------------------------------------------
 
 def graph_to_dict(g: WeightedGraph) -> dict:
@@ -249,15 +249,9 @@ def graph_to_dict(g: WeightedGraph) -> dict:
         if g.measure_mode == "explicit":
             entry["mu"] = g.mu[i]
         verts.append(entry)
-    edges = []
-    seen = set()
-    for i in range(g.n):
-        for j in np.nonzero(g.W[i])[0]:
-            if g.weights_symmetric:
-                if (j, i) in seen:
-                    continue
-                seen.add((i, int(j)))
-            edges.append({"u": g.ids[i], "v": g.ids[int(j)], "w": g.W[i, j]})
+    edges = [{"u": g.ids[i], "v": g.ids[j], "w": g.W[i, j]}
+             for i, nbrs in enumerate(g.neighbors) for j in nbrs
+             if j > i or not g.weights_symmetric]
     return {
         "weights_symmetric": g.weights_symmetric,
         "measure_mode": g.measure_mode,
@@ -267,32 +261,35 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 
 
 def graph_from_dict(obj: dict) -> WeightedGraph:
+    """Build a graph from the file schema; every defect raises
+    GraphFormatError."""
     try:
-        symmetric = bool(obj["weights_symmetric"])
         mode = obj["measure_mode"]
-        verts = obj["vertices"]
-        edges = obj["edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphFormatError(f"malformed graph object: {exc}") from exc
-    ids = []
-    mu = {}
-    for entry in verts:
-        ids.append(entry["id"])
-        if "mu" in entry:
-            if mode != "explicit":
-                raise GraphFormatError(
-                    "mu entries are only allowed with measure_mode='explicit'")
-            mu[entry["id"]] = entry["mu"]
-    edge_list = [(e["u"], e["v"], e["w"]) for e in edges]
-    return WeightedGraph(ids, edge_list, mu=mu if mode == "explicit" else None,
-                         weights_symmetric=symmetric, measure_mode=mode)
+        ids = []
+        mu = {}
+        for entry in obj["vertices"]:
+            ids.append(entry["id"])
+            if "mu" in entry:
+                if mode != "explicit":
+                    raise GraphFormatError(
+                        "mu entries are only allowed with measure_mode='explicit'")
+                mu[entry["id"]] = entry["mu"]
+        edge_list = [(e["u"], e["v"], e["w"]) for e in obj["edges"]]
+        return WeightedGraph(ids, edge_list,
+                             mu=mu if mode == "explicit" else None,
+                             weights_symmetric=bool(obj["weights_symmetric"]),
+                             measure_mode=mode)
+    except GraphFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(f"malformed graph object: {exc!r}") from exc
 
 
 def load_graph(path) -> WeightedGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad text encoding
             raise GraphFormatError(f"invalid JSON in {path}: {exc}") from exc
     return graph_from_dict(obj)
 

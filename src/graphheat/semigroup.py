@@ -43,15 +43,6 @@ class HeatKernel:
         return self.matrix @ self.graph.mu
 
 
-def jump_matrix(g: WeightedGraph) -> np.ndarray:
-    """One-step walk matrix p(x, y) = w_xy / deg(x); zero rows at isolated
-    vertices."""
-    P = np.zeros((g.n, g.n))
-    nz = g.degrees > 0
-    P[nz] = g.W[nz] / g.degrees[nz, None]
-    return P
-
-
 def generator(g: WeightedGraph) -> np.ndarray:
     """Matrix of the mu-Laplacian: L[x, y] = w_xy/mu(x), L[x, x] = -deg(x)/mu(x)."""
     L = g.W / g.mu[:, None]

@@ -69,13 +69,11 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
         raise ValueError("need at least one walk")
     src = g._resolve(x)
     rates = [float(d / m) for d, m in zip(g.degrees, g.mu)]
-    neighbors = []
+    neighbors = g.neighbors
     cum_probs = []
-    for i in range(g.n):
-        nbr = np.nonzero(g.W[i])[0]
-        neighbors.append([int(j) for j in nbr])
-        if len(nbr):
-            c = np.cumsum(g.W[i, nbr] / g.degrees[i])
+    for i, nbr in enumerate(neighbors):
+        if nbr:
+            c = np.cumsum(g.W[i, list(nbr)] / g.degrees[i])
             c[-1] = 1.0
             cum_probs.append(list(c))
         else:
@@ -106,10 +104,3 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
         counts[pos] += 1
     return WalkEstimate(float(t), g.ids[src], counts, int(n_walks), int(seed), g)
 
-
-def estimate_rows_csv(est: WalkEstimate):
-    """Yield (t, x, y, p_hat, half_width, n_walks, seed) rows in vertex order."""
-    p = est.p_hat
-    hw = est.half_width
-    for j, y in enumerate(est.graph.ids):
-        yield est.t, est.source, y, float(p[j]), float(hw[j]), est.n_walks, est.seed

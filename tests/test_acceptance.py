@@ -6,6 +6,7 @@ lines; tolerances are fixed here, not configurable.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -199,6 +200,9 @@ def test_criterion_09_monte_carlo():
 def test_criterion_10_cli_reproducibility(tmp_path):
     graphs = sorted((ROOT / "example_graphs").glob("*.json"))
     assert graphs, "shipped example graphs missing"
+    # the child imports graphheat from this checkout, installed or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     ok = True
     for graph in graphs:
         outs = []
@@ -208,7 +212,7 @@ def test_criterion_10_cli_reproducibility(tmp_path):
                 [sys.executable, "-m", "graphheat.cli", "verify",
                  "--graph", str(graph), "--suite", "all", "--seed", "0",
                  "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             ok = ok and proc.returncode == 0
             outs.append(out.read_bytes())
         ok = ok and outs[0] == outs[1]

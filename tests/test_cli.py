@@ -151,7 +151,52 @@ def test_kernel_with_monte_carlo(tmp_path):
     assert {"p_hat", "half_width", "n_walks", "seed"} <= set(rows[0])
 
 
+def test_kernel_monte_carlo_verdict_is_family_wise(tmp_path, capsys):
+    # at this seed one of the 81 cells falls outside its per-cell 3-sigma
+    # allowance while the series kernel is exact: a false alarm that a
+    # verdict without multiple-comparison control reports as INCONSISTENT
+    code = run(["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                "--t", "1", "--mc", "1000", "--seed", "129",
+                "--out", tmp_path / "k.csv"])
+    assert code == 0
+    assert "consistent (family-wise alpha 0.001" in capsys.readouterr().err
+
+
 def test_shipped_example_graphs_verify():
     for path in sorted((ROOT / "example_graphs").glob("*.json")):
         assert run(["verify", "--graph", path, "--suite", "all",
                     "--t", "0.5,1,2", "--seed", "42", "--n-funcs", "3"]) == 0
+
+
+def _two_vertex_graph(vertices=({"id": "a"}, {"id": "b"}), w=1.0,
+                      measure_mode="unit"):
+    return {"weights_symmetric": True, "measure_mode": measure_mode,
+            "vertices": list(vertices),
+            "edges": [{"u": "a", "v": "b", "w": w}]}
+
+
+# input -> (graph object, verify exit code, kernel exit code)
+EXIT_CODES = {
+    "vertex-without-id": (_two_vertex_graph(vertices=({"id": "a"}, {})), 2, 2),
+    "non-numeric-weight": (_two_vertex_graph(w="x"), 2, 2),
+    "nan-weight": (_two_vertex_graph(w=math.nan), 2, 2),
+    "inf-weight": (_two_vertex_graph(w=math.inf), 2, 2),
+    "nan-measure": (_two_vertex_graph(
+        vertices=({"id": "a", "mu": math.nan}, {"id": "b", "mu": 1.0}),
+        measure_mode="explicit"), 2, 2),
+    "edgeless": ({"weights_symmetric": True, "measure_mode": "unit",
+                  "vertices": [{"id": "a"}, {"id": "b"}], "edges": []}, 2, 0),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "kernel"])
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_exit_code_matrix(tmp_path, capsys, name, command):
+    obj, verify_code, kernel_code = EXIT_CODES[name]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(obj))  # NaN and Infinity literals included
+    code = run([command, "--graph", graph, "--out", tmp_path / "out"])
+    assert code == (verify_code if command == "verify" else kernel_code)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_construction_invariants():
                       measure_mode="unit")
     with pytest.raises(GraphFormatError):
         WeightedGraph(["a", "b"], [("a", "b", 1.0)], mu={"a": 0.0, "b": 1.0})
+
+
+@pytest.mark.parametrize("edges, mu", [
+    ([("a", "b", math.nan)], None),
+    ([("a", "b", math.inf)], None),
+    ([("a", "b", 1.0)], {"a": math.nan, "b": 1.0}),
+], ids=["nan-weight", "inf-weight", "nan-measure"])
+def test_non_finite_input_rejected(edges, mu):
+    with pytest.raises(GraphFormatError):
+        WeightedGraph(["a", "b"], edges, mu=mu,
+                      measure_mode="unit" if mu is None else "explicit")
 
 
 def test_asymmetric_weights_allowed():

@@ -1,0 +1,100 @@
+"""Property tests for the metric core and the graph file format, on small
+random graphs: disconnected, asymmetric and edgeless ones included."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components, shortest_path
+
+from graphheat import (GraphFormatError, UnreachableError, WeightedGraph,
+                       graph_from_dict, graph_to_dict)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    symmetric = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if (i < j if symmetric else i != j)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(f"v{i}", f"v{j}", draw(st.floats(0.1, 10.0))) for i, j in chosen]
+    mu = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    return WeightedGraph([f"v{i}" for i in range(n)], edges, mu=mu,
+                         weights_symmetric=symmetric,
+                         measure_mode=draw(st.sampled_from(["unit", "explicit"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_hop_distances(g):
+    D = g.distance_matrix()
+    assert g.distance_matrix() is D
+    assert np.array_equal(D, shortest_path(g.W, unweighted=True))
+    assert np.all(np.diag(D) == 0)
+    assert np.array_equal(D == 1, g.W > 0)
+    # D[x, z] <= D[x, y] + D[y, z] for all x, y, z
+    assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :])
+    if g.weights_symmetric:
+        assert np.array_equal(D, D.T)
+        _, label = connected_components(g.W, directed=False)
+        assert np.array_equal(np.isinf(D), label[:, None] != label[None, :])
+    for x in range(g.n):
+        for y in range(g.n):
+            if np.isinf(D[x, y]):
+                with pytest.raises(UnreachableError):
+                    g.dist(x, y)
+            else:
+                assert g.dist(x, y) == D[x, y]
+        for r in (0, 0.5, 1, 2.5, g.n):
+            assert g.ball_volume(x, r) == g.mu[D[x] <= r].sum()
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs())
+def test_derived_data_is_read_only(g):
+    with pytest.raises(ValueError):
+        g.distance_matrix()[0, 0] = 1.0
+    assert all(isinstance(nbrs, tuple) for nbrs in g.neighbors)
+    if g.num_edges:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.constants().d_mu = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_file_round_trip(g):
+    h = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+    assert h.ids == g.ids and h.weights_symmetric == g.weights_symmetric
+    assert np.array_equal(h.W, g.W)
+    assert np.array_equal(h.mu, g.mu)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("weights_symmetric",), ("measure_mode",),
+                        ("vertices",), ("vertices", 0), ("vertices", 0, "id"),
+                        ("vertices", 1, "mu"), ("edges",), ("edges", 0),
+                        ("edges", 0, "u"), ("edges", 0, "w")]),
+       JSON_VALUES)
+@example(("edges", 0, "w"), 10**400)  # an int too large for a float
+def test_parser_raises_only_graph_format_error(path, value):
+    obj = {"weights_symmetric": True, "measure_mode": "explicit",
+           "vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 2.0}],
+           "edges": [{"u": "a", "v": "b", "w": 1.0}]}
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        graph_from_dict(obj)
+    except GraphFormatError:
+        pass

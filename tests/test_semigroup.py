@@ -5,35 +5,7 @@ import pytest
 
 from conftest import k2, log_uniform, random_graph
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve,
-                       evolve_many, generate, heat_kernel, jump_matrix)
-
-
-def test_jump_matrix_k2():
-    P = jump_matrix(k2())
-    assert P[0, 1] == 1.0 and P[0, 0] == 0.0
-
-
-def test_jump_matrix_triangle():
-    P = jump_matrix(generate("complete", n=3))
-    off = P[~np.eye(3, dtype=bool)]
-    assert np.all(off == 0.5)
-
-
-def test_jump_matrix_star():
-    g = generate("star", n=4)  # center v0 with 3 leaves
-    P = jump_matrix(g)
-    assert np.all(P[0, 1:] == pytest.approx(1 / 3))
-    assert np.all(P[1:, 0] == 1.0)
-
-
-def test_jump_matrix_rows_stochastic():
-    rng = np.random.default_rng(0)
-    g = random_graph(rng)
-    P = jump_matrix(g)
-    sums = P.sum(axis=1)
-    for i in range(g.n):
-        expected = 1.0 if g.degrees[i] > 0 else 0.0
-        assert sums[i] == pytest.approx(expected, abs=1e-14)
+                       evolve_many, generate, heat_kernel)
 
 
 def test_kernel_at_time_zero():
