@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph, as_vertex_function
-from .reports import BoundReport
+from .reports import site_reports
 
 POSITIVITY_FLOOR = 1e-300
 
@@ -67,8 +67,4 @@ def neg_sqrt_laplacian_bound(g: WeightedGraph, u, abs_tol=1e-10, rel_tol=1e-9):
     s = np.sqrt(u)
     lhs = -laplacian(g, s)
     rhs = (g.degrees / g.mu) * s
-    return [
-        BoundReport("neg_sqrt_laplacian", g.ids[i], float(lhs[i]), float(rhs[i]),
-                    abs_tol=abs_tol, rel_tol=rel_tol)
-        for i in range(g.n)
-    ]
+    return site_reports("neg_sqrt_laplacian", g.ids, lhs, rhs, abs_tol, rel_tol)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import sys
 import zlib
 from statistics import NormalDist
@@ -34,18 +34,28 @@ def _suite_rng(root_seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng((root_seed, zlib.crc32(suite.encode())))
 
 
-def _parse_times(spec: str):
+# numeric flag -> (test, what a good value is); checked before any command runs
+FLAG_RULES = {
+    "tol": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "mc": (lambda v: v >= 0, "nonnegative"),
+    "n_funcs": (lambda v: v >= 1, "at least 1"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
+}
+
+
+def _check_flags(args) -> None:
+    """Parse --t into args.times and range-check the numeric flags of verify
+    and kernel; ValueError names the first bad value."""
     try:
-        times = tuple(float(s) for s in spec.split(","))
+        args.times = tuple(float(s) for s in args.t.split(","))
     except ValueError:
-        raise SystemExit(f"error: bad time list {spec!r}")
-    if not times:
-        raise SystemExit("error: empty time list")
-    return times
-
-
-def _positive_times(times):
-    return [t for t in times if t > 0]
+        raise ValueError(f"--t: bad time list {args.t!r}") from None
+    if not all(0 <= t < math.inf for t in args.times):
+        raise ValueError(f"--t: times must be finite and nonnegative, got {args.t!r}")
+    for name, (ok, want) in FLAG_RULES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be {want}, got {value!r}")
 
 
 # -- generate ------------------------------------------------------------------
@@ -69,7 +79,7 @@ def cmd_generate(args) -> int:
 def _run_suite(g, suite, times, seed, tol, n_funcs):
     rng = _suite_rng(seed, suite)
     out = []
-    pos_times = _positive_times(times)
+    pos_times = [t for t in times if t > 0]
     if suite == "gradient":
         for _ in range(n_funcs):
             u = estimates.sample_positive_function(g, rng)
@@ -108,22 +118,15 @@ def _run_suite(g, suite, times, seed, tol, n_funcs):
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = load_graph(args.graph)
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = args.loaded_graph
     names = args.suite.split(",")
-    if "all" in names:
+    skip_gated = "all" in names
+    if skip_gated:
         names = list(SUITES)
-        skip_gated = True
-    else:
-        skip_gated = False
     bad = [s for s in names if s not in SUITES]
     if bad:
         print(f"error: unknown suite(s) {bad}", file=sys.stderr)
         return 2
-    times = _parse_times(args.t)
     all_reports = []
     skipped = []
     for suite in names:
@@ -131,7 +134,7 @@ def cmd_verify(args) -> int:
             if suite in ("kernel-bounds", "volume"):
                 estimates._require_symmetric(g, f"suite {suite!r}")
                 estimates._require_mu_deg(g, f"suite {suite!r}")
-            all_reports.extend(_run_suite(g, suite, times, args.seed,
+            all_reports.extend(_run_suite(g, suite, args.times, args.seed,
                                           args.tol, args.n_funcs))
         except (estimates.HypothesisError, GraphFormatError) as exc:
             if skip_gated and isinstance(exc, estimates.HypothesisError):
@@ -141,14 +144,14 @@ def cmd_verify(args) -> int:
             return 2
 
     config = {"graph": args.graph, "suites": names, "skipped": skipped,
-              "times": list(times), "seed": args.seed, "tol": args.tol,
+              "times": list(args.times), "seed": args.seed, "tol": args.tol,
               "n_funcs": args.n_funcs}
+    summary = reports.summarize(all_reports)
     if args.out:
         if args.format == "json":
-            reports.write_jsonl(args.out, all_reports, config=config)
+            reports.write_jsonl(args.out, all_reports, config, summary)
         else:
-            _write_reports_csv(args.out, all_reports)
-    summary = reports.summarize(all_reports)
+            reports.write_csv(args.out, all_reports)
     ok = True
     for check, s in sorted(summary.items()):
         status = "pass" if s["n_pass"] == s["n"] else "FAIL"
@@ -165,45 +168,29 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _write_reports_csv(path, all_reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "site", "lhs", "rhs", "slack", "pass",
-                    "abs_tol", "rel_tol"])
-        for r in all_reports:
-            w.writerow([r.check, json.dumps(r.site), r.lhs, r.rhs, r.slack,
-                        r.passed, r.abs_tol, r.rel_tol])
-
-
 # -- kernel --------------------------------------------------------------------
 
 def cmd_kernel(args) -> int:
-    try:
-        g = load_graph(args.graph)
-    except (OSError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    times = _parse_times(args.t)
+    g = args.loaded_graph
     # Bonferroni split of MC_ALPHA over every (source, target, time) cell
-    cells = max(g.n**2 * len(times), 1)
+    cells = max(g.n**2 * len(args.times), 1)
     z = NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
     rows = []
     consistent = True
-    for t in times:
+    for t in args.times:
         kernel = semigroup.heat_kernel(g, t, tol=args.tol)
-        if args.mc:
-            for i, x in enumerate(g.ids):
-                sub_seed = args.seed ^ zlib.crc32(f"{t}:{x}".encode())
-                est = walk.simulate(g, x, t, args.mc, seed=sub_seed)
-                flags = est.consistent_with(kernel.matrix[i], n_sigma=z)
-                consistent = consistent and bool(flags.all())
-                p = est.p_hat
-                hw = est.half_width
-                for j, y in enumerate(g.ids):
-                    rows.append([t, x, y, kernel.matrix[i, j],
-                                 p[j], hw[j], args.mc, sub_seed])
-        else:
-            rows.extend(list(r) for r in semigroup.kernel_rows_csv(kernel))
+        for i, x in enumerate(g.ids):
+            p = kernel.matrix[i].tolist()
+            if not args.mc:
+                rows.extend([t, x, y, p[j]] for j, y in enumerate(g.ids))
+                continue
+            sub_seed = args.seed ^ zlib.crc32(f"{t}:{x}".encode())
+            est = walk.simulate(g, x, t, args.mc, seed=sub_seed)
+            flags = est.consistent_with(kernel.matrix[i], n_sigma=z)
+            consistent = consistent and bool(flags.all())
+            p_hat, hw = est.p_hat.tolist(), est.half_width.tolist()
+            rows.extend([t, x, y, p[j], p_hat[j], hw[j], args.mc, sub_seed]
+                        for j, y in enumerate(g.ids))
     header = ["t", "x", "y", "p"]
     if args.mc:
         header += ["p_hat", "half_width", "n_walks", "seed"]
@@ -268,6 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("verify", "kernel"):
+        try:
+            _check_flags(args)
+            args.loaded_graph = load_graph(args.graph)
+        except (ValueError, OSError) as exc:  # GraphFormatError included
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .calculus import gamma, laplacian, require_positive
 from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate
-from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, BoundReport
+from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, site_reports
 from .semigroup import evolve, evolve_many, heat_kernel
 
 
@@ -51,13 +51,8 @@ def gradient_estimate(g: WeightedGraph, u, abs_tol=DEFAULT_ABS_TOL,
 
     Unconditional: passes for every positive u on every graph.
     """
-    lhs = gradient_lhs(g, u)
-    d_mu = g.constants().d_mu
-    return [
-        BoundReport("gradient_estimate", g.ids[i], float(lhs[i]), d_mu,
-                    abs_tol=abs_tol, rel_tol=rel_tol)
-        for i in range(g.n)
-    ]
+    return site_reports("gradient_estimate", g.ids, gradient_lhs(g, u),
+                        g.constants().d_mu, abs_tol, rel_tol)
 
 
 def heat_gradient_estimate(g: WeightedGraph, u0, times, tol=1e-16,
@@ -90,19 +85,16 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times, tol=1e-16,
         st = np.sqrt(ut)
         dt_sqrt = laplacian(g, ut) / (2.0 * st)
         lhs = gamma(g, st) / ut - dt_sqrt / st
-        for i in range(g.n):
-            reports.append(BoundReport("heat_gradient_estimate",
-                                       [g.ids[i], t], float(lhs[i]), d_mu,
-                                       abs_tol=abs_tol, rel_tol=rel_tol))
+        reports += site_reports("heat_gradient_estimate",
+                                ([x, t] for x in g.ids), lhs, d_mu,
+                                abs_tol, rel_tol)
         if do_fd:
             fd = (np.sqrt(plus) - np.sqrt(minus)) / (2.0 * fd_step)
             floor = 1e-9 * float(np.max(st))
-            for i in range(g.n):
-                reports.append(BoundReport(
-                    "heat_gradient_fd", [g.ids[i], t],
-                    float(abs(fd[i] - dt_sqrt[i])),
-                    fd_rel * float(abs(dt_sqrt[i])) + floor,
-                    abs_tol=0.0, rel_tol=0.0))
+            reports += site_reports("heat_gradient_fd",
+                                    ([x, t] for x in g.ids),
+                                    np.abs(fd - dt_sqrt),
+                                    fd_rel * np.abs(dt_sqrt) + floor, 0.0, 0.0)
     return reports
 
 
@@ -120,18 +112,13 @@ def prior_gradient_estimate(g: WeightedGraph, u, abs_tol=DEFAULT_ABS_TOL,
     lhs = np.sqrt(2.0 * gamma(g, u)) / u
     rhs = (math.sqrt(c.d) * laplacian(g, u) / u
            + math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu))
-    cur_lhs = gradient_lhs(g, u)
-    reports = []
-    for i in range(g.n):
-        rel_prior = (rhs[i] - lhs[i]) / max(abs(rhs[i]), 1e-300)
-        rel_cur = (c.d_mu - cur_lhs[i]) / max(abs(c.d_mu), 1e-300)
-        reports.append(BoundReport(
-            "prior_gradient_estimate", g.ids[i], float(lhs[i]), float(rhs[i]),
-            abs_tol=abs_tol, rel_tol=rel_tol,
-            extra={"tighter": "current" if rel_cur < rel_prior else "prior",
-                   "rel_slack_current": float(rel_cur),
-                   "rel_slack_prior": float(rel_prior)}))
-    return reports
+    rel_prior = (rhs - lhs) / np.maximum(np.abs(rhs), 1e-300)
+    rel_cur = (c.d_mu - gradient_lhs(g, u)) / max(abs(c.d_mu), 1e-300)
+    extras = [{"tighter": "current" if cur < prior else "prior",
+               "rel_slack_current": cur, "rel_slack_prior": prior}
+              for cur, prior in zip(rel_cur.tolist(), rel_prior.tolist())]
+    return site_reports("prior_gradient_estimate", g.ids, lhs, rhs,
+                        abs_tol, rel_tol, extras)
 
 
 def sample_positive_function(g: WeightedGraph, rng, lo=1e-6, hi=1e6) -> np.ndarray:
@@ -235,26 +222,27 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None,
     c = g.constants()
     D = g.distance_matrix()
     snapshots = {t: evolve(g, u0, t, tol=tol) for t in times}
-    if pairs is None:
-        if g.n <= 30:
-            pairs = [(i, j) for i in range(g.n) for j in range(g.n)]
-        else:
-            rng = np.random.default_rng(seed)
-            pairs = [(int(rng.integers(g.n)), int(rng.integers(g.n)))
-                     for _ in range(max_pairs)]
+    if pairs is None and g.n <= 30:
+        I, J = np.divmod(np.arange(g.n * g.n), g.n)
     else:
-        pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
-    pairs = [(i, j) for i, j in pairs if np.isfinite(D[i, j])]
+        if pairs is None:
+            rng = np.random.default_rng(seed)
+            pairs = [(rng.integers(g.n), rng.integers(g.n))
+                     for _ in range(max_pairs)]
+        else:
+            pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
+        I, J = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    hops = D[I, J]
+    finite = np.isfinite(hops)
+    I, J, hops = I[finite], J[finite], hops[finite]
+    xs, ys = [g.ids[i] for i in I.tolist()], [g.ids[j] for j in J.tolist()]
     reports = []
     for a, t1 in enumerate(times):
         for t2 in times[a + 1:]:
-            F = _harnack_form(c, D, t2 - t1)
-            for i, j in pairs:
-                reports.append(BoundReport(
-                    "harnack", [g.ids[i], t1, g.ids[j], t2],
-                    float(snapshots[t1][i]),
-                    float(snapshots[t2][j] * F[i, j]),
-                    abs_tol=abs_tol, rel_tol=rel_tol))
+            F = _harnack_form(c, hops, t2 - t1)
+            reports += site_reports(
+                "harnack", ([x, t1, y, t2] for x, y in zip(xs, ys)),
+                snapshots[t1][I], snapshots[t2][J] * F, abs_tol, rel_tol)
     return reports
 
 
@@ -314,14 +302,11 @@ def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None,
     _require_symmetric(g, "heat kernel upper bound")
     if kernel is None:
         kernel = heat_kernel(g, t)
-    reports = []
-    for i, x in enumerate(g.ids):
-        bound = heat_kernel_upper_bound(g, t, x)
-        for j, y in enumerate(g.ids):
-            reports.append(BoundReport(
-                "kernel_upper", [x, y, t], float(kernel.matrix[i, j]), bound,
-                abs_tol=abs_tol, rel_tol=rel_tol))
-    return reports
+    bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids]
+    return site_reports("kernel_upper",
+                        ([x, y, t] for x in g.ids for y in g.ids),
+                        kernel.matrix.ravel(), np.repeat(bound, g.n),
+                        abs_tol, rel_tol)
 
 
 def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
@@ -349,13 +334,11 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None,
         kernel = heat_kernel(g, t)
     D = g.distance_matrix()
     bound = _kernel_lower_form(g.constants(), D, t, g.degrees)
-    return [
-        BoundReport("kernel_lower", [x, y, t], float(bound[i, j]),
-                    float(kernel.matrix[i, j]),
-                    abs_tol=abs_tol, rel_tol=rel_tol)
-        for i, x in enumerate(g.ids) for j, y in enumerate(g.ids)
-        if np.isfinite(D[i, j])
-    ]
+    I, J = np.nonzero(np.isfinite(D))  # row-major order
+    return site_reports("kernel_lower",
+                        ([g.ids[i], g.ids[j], t]
+                         for i, j in zip(I.tolist(), J.tolist())),
+                        bound[I, J], kernel.matrix[I, J], abs_tol, rel_tol)
 
 
 def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None,
@@ -364,12 +347,9 @@ def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None,
     _require_mu_deg(g, "diagonal lower bound")
     if kernel is None:
         kernel = heat_kernel(g, t)
-    return [
-        BoundReport("diagonal_lower", [y, t],
-                    math.exp(-t) / g.degree(y), float(kernel.matrix[j, j]),
-                    abs_tol=abs_tol, rel_tol=rel_tol)
-        for j, y in enumerate(g.ids)
-    ]
+    return site_reports("diagonal_lower", ([y, t] for y in g.ids),
+                        math.exp(-t) / g.degrees, kernel.matrix.diagonal(),
+                        abs_tol, rel_tol)
 
 
 def _volume_growth_factor(c: GraphConstants, t: float) -> float:
@@ -403,12 +383,10 @@ def verify_volume_growth(g: WeightedGraph, times, abs_tol=DEFAULT_ABS_TOL,
         if t <= 0:
             raise ValueError("times must be positive")
         factor = _volume_growth_factor(c, t)
-        for y in g.ids:
-            lhs = g.ball_volume(y, math.sqrt(t))
-            rhs = g.ball_volume(y, 1.0) * factor
-            strong = lhs <= g.degree(y) * factor * (1.0 + rel_tol) + abs_tol
-            reports.append(BoundReport(
-                "volume_growth", [y, t], lhs, rhs,
-                abs_tol=abs_tol, rel_tol=rel_tol,
-                extra={"degree_variant_holds": bool(strong)}))
+        lhs = np.array([g.ball_volume(y, math.sqrt(t)) for y in g.ids])
+        rhs = np.array([g.ball_volume(y, 1.0) for y in g.ids]) * factor
+        strong = lhs <= g.degrees * factor * (1.0 + rel_tol) + abs_tol
+        reports += site_reports(
+            "volume_growth", ([y, t] for y in g.ids), lhs, rhs, abs_tol,
+            rel_tol, [{"degree_variant_holds": s} for s in strong.tolist()])
     return reports

@@ -1,15 +1,19 @@
-"""Per-check inequality records and JSON-lines report emission."""
+"""Per-check inequality records, built from per-site arrays, and their
+JSON-lines and CSV emission."""
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
     """One verified inequality lhs <= rhs at one site.
 
@@ -49,6 +53,27 @@ class BoundReport:
         return obj
 
 
+# the CSV columns: the JSON key order of a report without extra
+CSV_FIELDS = tuple(BoundReport("", None, 0.0, 0.0).to_json_obj())
+
+
+def site_reports(check, sites, lhs, rhs, abs_tol=DEFAULT_ABS_TOL,
+                 rel_tol=DEFAULT_REL_TOL, extras=None):
+    """One BoundReport per site from 1-d arrays of the two sides.
+
+    A scalar side applies to every site. Each value is the Python float that
+    float(side[i]) gives; a side or extras list whose length differs from
+    the number of sites raises ValueError.
+    """
+    sites = list(sites)
+    lhs, rhs = (np.broadcast_to(np.asarray(side, dtype=float), (len(sites),)).tolist()
+                for side in (lhs, rhs))
+    if extras is None:
+        extras = [{} for _ in sites]
+    return [BoundReport(check, s, a, b, abs_tol, rel_tol, e)
+            for s, a, b, e in zip(sites, lhs, rhs, extras, strict=True)]
+
+
 def all_pass(reports) -> bool:
     return all(r.passed for r in reports)
 
@@ -60,17 +85,29 @@ def summarize(reports) -> dict:
         s = summary.setdefault(r.check, {"n": 0, "n_pass": 0, "min_slack": None})
         s["n"] += 1
         s["n_pass"] += int(r.passed)
-        if s["min_slack"] is None or r.slack < s["min_slack"]:
-            s["min_slack"] = r.slack
+        slack = r.slack
+        if s["min_slack"] is None or slack < s["min_slack"]:
+            s["min_slack"] = slack
     return summary
 
 
-def write_jsonl(path, reports, config=None) -> None:
-    """Write one report per line, preceded by an optional config line and
-    followed by a summary footer. Append-safe: every line is standalone JSON."""
+def write_jsonl(path, reports, config, summary) -> None:
+    """Write a config line, one report per line and a summary footer (the
+    result of summarize(reports)). Every line is standalone JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        if config is not None:
-            fh.write(json.dumps({"config": config}) + "\n")
+        fh.write(json.dumps({"config": config}) + "\n")
         for r in reports:
             fh.write(json.dumps(r.to_json_obj()) + "\n")
-        fh.write(json.dumps({"summary": summarize(reports)}) + "\n")
+        fh.write(json.dumps({"summary": summary}) + "\n")
+
+
+def write_csv(path, reports) -> None:
+    """One CSV row per report in CSV_FIELDS order, without extra; the site
+    column holds the site's JSON text."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_FIELDS)
+        for r in reports:
+            obj = r.to_json_obj()
+            obj["site"] = json.dumps(obj["site"])
+            w.writerow([obj[k] for k in CSV_FIELDS])

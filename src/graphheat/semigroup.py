@@ -56,10 +56,10 @@ def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarr
     Coefficients are evaluated in log space, so large lam*t neither overflows
     t^k/k! nor underflows the whole series.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     rates = g.degrees / g.mu
     lam = float(rates.max(initial=0.0))
     if t == 0 or lam == 0:
@@ -122,8 +122,8 @@ def dense_oracle(g: WeightedGraph, t: float, cap: int = DENSE_ORACLE_CAP) -> Hea
     """
     if g.n > cap:
         raise ValueError(f"graph too large for dense oracle ({g.n} > {cap})")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     L = generator(g)
     if g.weights_symmetric:
         root = np.sqrt(g.mu)
@@ -142,10 +142,3 @@ def compose(a: HeatKernel, b: HeatKernel) -> np.ndarray:
         raise ValueError("kernels must live on the same graph")
     return (a.matrix * a.graph.mu[None, :]) @ b.matrix
 
-
-def kernel_rows_csv(kernel: HeatKernel):
-    """Yield (t, x, y, p) rows in deterministic vertex insertion order."""
-    g = kernel.graph
-    for i, x in enumerate(g.ids):
-        for j, y in enumerate(g.ids):
-            yield kernel.t, x, y, float(kernel.matrix[i, j])

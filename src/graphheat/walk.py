@@ -63,8 +63,8 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
     jumped by the walk index), so results are deterministic per
     (seed, walk-index) regardless of execution order.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     if n_walks < 1:
         raise ValueError("need at least one walk")
     src = g._resolve(x)

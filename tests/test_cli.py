@@ -200,3 +200,31 @@ def test_exit_code_matrix(tmp_path, capsys, name, command):
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# bad flag values -> argv after the command; each exits 2 with one line, where
+# they used to exit 1 with a traceback, hang in the series, or check nothing
+BAD_FLAGS = {
+    "verify-t-not-a-number": ["verify", "--t", "abc"],
+    "verify-t-empty": ["verify", "--t", ""],
+    "verify-t-inf": ["verify", "--t", "inf"],
+    "verify-n-funcs-negative": ["verify", "--suite", "gradient",
+                                "--n-funcs", "-1"],
+    "verify-seed-negative": ["verify", "--seed", "-1"],
+    "kernel-t-negative": ["kernel", "--t", "-1"],
+    "kernel-t-inf": ["kernel", "--t", "inf"],
+    "kernel-tol-nan": ["kernel", "--tol", "nan"],
+    "kernel-mc-negative": ["kernel", "--mc", "-5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FLAGS))
+def test_bad_flag_values_exit_2(tmp_path, capsys, name):
+    command, *flags = BAD_FLAGS[name]
+    out = tmp_path / "out"
+    code = run([command, "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                *flags, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,0 +1,25 @@
+"""The narrative demos run to completion against this checkout.
+
+03_random_walk.py is left out: it takes several seconds, and test_walk.py and
+acceptance criterion 9 cover the walk.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["01_gradient_estimate.py",
+                                  "02_heat_kernel_bounds.py"])
+def test_demo_exits_0(demo):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

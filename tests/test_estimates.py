@@ -6,10 +6,11 @@ from scipy.optimize import minimize_scalar
 
 from conftest import k2, log_uniform, random_graph
 from graphheat import (HypothesisError, UnreachableError, WeightedGraph,
-                       all_pass, generate, gradient_estimate, gradient_lhs,
-                       harnack_factor, heat_gradient_estimate, heat_kernel,
-                       heat_kernel_lower_bound, heat_kernel_upper_bound,
-                       independence_sweep, min_form_bound, optimal_time_gap,
+                       all_pass, evolve, generate, gradient_estimate,
+                       gradient_lhs, harnack_factor, heat_gradient_estimate,
+                       heat_kernel, heat_kernel_lower_bound,
+                       heat_kernel_upper_bound, independence_sweep,
+                       min_form_bound, optimal_time_gap,
                        prior_gradient_estimate, verify_diagonal_lower,
                        verify_harnack, verify_kernel_lower, verify_kernel_upper,
                        verify_volume_growth, volume_growth_bound)
@@ -339,3 +340,60 @@ def test_volume_growth_sweep():
 def test_volume_growth_hypothesis_gating():
     with pytest.raises(HypothesisError):
         volume_growth_bound(k2(mu=(2.0, 1.0)), "a", 1.0)
+
+
+# -- per-site reports against the scalar helpers ----------------------------------
+
+def _two_components():
+    # a-b-c and d-e, mu = deg: unreachable pairs exist in both directions
+    return WeightedGraph(["a", "b", "c", "d", "e"],
+                         [("a", "b", 1.0), ("b", "c", 2.0), ("d", "e", 0.5)],
+                         measure_mode="degree")
+
+
+def test_verifier_sites_and_values_follow_the_per_site_loop():
+    g = _two_components()
+    t = 0.7
+    K = heat_kernel(g, t)
+    finite = [(x, y) for x in g.ids for y in g.ids
+              if math.isfinite(g.distance_matrix()[g.index[x], g.index[y]])]
+
+    lower = verify_kernel_lower(g, t, kernel=K)
+    assert [r.site for r in lower] == [[x, y, t] for x, y in finite]
+    for r, (x, y) in zip(lower, finite):
+        assert r.lhs == pytest.approx(heat_kernel_lower_bound(g, t, x, y),
+                                      rel=1e-15)
+        assert r.rhs == K.value(x, y)
+
+    upper = verify_kernel_upper(g, t, kernel=K)
+    assert [r.site for r in upper] == [[x, y, t] for x in g.ids for y in g.ids]
+    assert [(r.lhs, r.rhs) for r in upper] == [
+        (K.value(x, y), heat_kernel_upper_bound(g, t, x)) for x in g.ids
+        for y in g.ids]
+
+    diag = verify_diagonal_lower(g, t, kernel=K)
+    assert [(r.site, r.lhs, r.rhs) for r in diag] == [
+        ([y, t], math.exp(-t) / g.degree(y), K.value(y, y)) for y in g.ids]
+
+    volume = verify_volume_growth(g, [t, 4.0])
+    assert [(r.site, r.lhs) for r in volume] == [
+        ([y, s], g.ball_volume(y, math.sqrt(s))) for s in (t, 4.0)
+        for y in g.ids]
+    assert [r.rhs for r in volume] == pytest.approx(
+        [volume_growth_bound(g, y, s) for s in (t, 4.0) for y in g.ids],
+        rel=1e-15)
+
+
+def test_verify_harnack_keeps_given_pair_order_and_drops_unreachable():
+    g = _two_components()
+    u0 = [1.0, 5.0, 0.5, 2.0, 3.0]
+    pairs = [("c", "a"), ("a", "d"), ("e", "d"), ("b", "b"), ("d", "c")]
+    reps = verify_harnack(g, u0, [1.0, 0.2], pairs=pairs)
+    kept = [("c", "a"), ("e", "d"), ("b", "b")]
+    assert [r.site for r in reps] == [[x, 0.2, y, 1.0] for x, y in kept]
+    u1, u2 = evolve(g, u0, 0.2, tol=1e-12), evolve(g, u0, 1.0, tol=1e-12)
+    for r, (x, y) in zip(reps, kept):
+        assert r.lhs == u1[g.index[x]]
+        assert r.rhs == pytest.approx(
+            u2[g.index[y]] * harnack_factor(g, x, y, 0.2, 1.0), rel=1e-15)
+    assert all_pass(reps)

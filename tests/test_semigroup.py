@@ -5,7 +5,7 @@ import pytest
 
 from conftest import k2, log_uniform, random_graph
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve,
-                       evolve_many, generate, heat_kernel)
+                       evolve_many, generate, heat_kernel, verify_harnack)
 
 
 def test_kernel_at_time_zero():
@@ -34,6 +34,29 @@ def test_kernel_rejects_bad_tol_and_time():
         heat_kernel(k2(), 1.0, tol=0.0)
     with pytest.raises(ValueError):
         heat_kernel(k2(), -1.0)
+
+
+@pytest.mark.parametrize("t, tol", [(math.nan, 1e-10), (math.inf, 1e-10),
+                                    (1.0, math.nan)])
+def test_series_rejects_non_finite_time_and_nan_tol(t, tol):
+    # each of these used to loop forever in the series
+    g = k2()
+    with pytest.raises(ValueError):
+        heat_kernel(g, t, tol=tol)
+    with pytest.raises(ValueError):
+        evolve(g, [1.0, 2.0], t, tol=tol)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_dense_oracle_rejects_non_finite_time(t):
+    # it returned an all-NaN (t = nan) or all-zero (t = inf) kernel
+    with pytest.raises(ValueError):
+        dense_oracle(k2(), t)
+
+
+def test_harnack_rejects_infinite_time():
+    with pytest.raises(ValueError):
+        verify_harnack(k2(), [1.0, 2.0], [0.1, math.inf])
 
 
 def test_kernel_edgeless_graph():

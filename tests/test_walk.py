@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,9 @@ def test_rate_matches_measure():
 
 def test_invalid_inputs():
     g = k2()
-    with pytest.raises(ValueError):
-        simulate(g, "a", -1.0, 10)
+    # t = inf used to die with OverflowError sizing the uniform blocks
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            simulate(g, "a", t, 10)
     with pytest.raises(ValueError):
         simulate(g, "a", 1.0, 0)
