@@ -14,11 +14,11 @@ from .reports import site_reports
 POSITIVITY_FLOOR = 1e-300
 
 
-def require_positive(g: WeightedGraph, u, floor: float = POSITIVITY_FLOOR) -> np.ndarray:
-    """Validate that u is a strictly positive function on g's vertices."""
+def require_positive(g: WeightedGraph, u) -> np.ndarray:
+    """Validate that u is finite and strictly positive on g's vertices."""
     u = as_vertex_function(g, u)
-    if np.any(u < floor):
-        raise ValueError(f"function must be positive (>= {floor}) everywhere")
+    if not np.all((POSITIVITY_FLOOR <= u) & (u < np.inf)):
+        raise ValueError(f"function must be finite and >= {POSITIVITY_FLOOR} everywhere")
     return u
 
 
@@ -61,10 +61,10 @@ def sqrt_identity_residual(g: WeightedGraph, u) -> np.ndarray:
     return 2.0 * gamma(g, s) - (laplacian(g, u) - 2.0 * s * laplacian(g, s))
 
 
-def neg_sqrt_laplacian_bound(g: WeightedGraph, u, abs_tol=1e-10, rel_tol=1e-9):
+def neg_sqrt_laplacian_bound(g: WeightedGraph, u):
     """Per-vertex check of -L(sqrt u)(x) <= (deg(x)/mu(x)) * sqrt(u)(x)."""
     u = require_positive(g, u)
     s = np.sqrt(u)
     lhs = -laplacian(g, s)
     rhs = (g.degrees / g.mu) * s
-    return site_reports("neg_sqrt_laplacian", g.ids, lhs, rhs, abs_tol, rel_tol)
+    return site_reports("neg_sqrt_laplacian", g.ids, lhs, rhs)

@@ -34,28 +34,34 @@ def _suite_rng(root_seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng((root_seed, zlib.crc32(suite.encode())))
 
 
-# numeric flag -> (test, what a good value is); checked before any command runs
+# numeric flag -> (converter, test, what a good value is); checked first
 FLAG_RULES = {
-    "tol": (lambda v: 0 < v < math.inf, "finite and positive"),
-    "mc": (lambda v: v >= 0, "nonnegative"),
-    "n_funcs": (lambda v: v >= 1, "at least 1"),
-    "seed": (lambda v: v >= 0, "nonnegative"),
+    "tol": (float, lambda v: 0 < v < math.inf, "a finite positive number"),
+    "mc": (int, lambda v: v >= 0, "a nonnegative integer"),
+    "n_funcs": (int, lambda v: v >= 1, "an integer of at least 1"),
+    "seed": (int, lambda v: v >= 0, "a nonnegative integer"),
 }
 
 
 def _check_flags(args) -> None:
-    """Parse --t into args.times and range-check the numeric flags of verify
-    and kernel; ValueError names the first bad value."""
+    """Parse --t into args.times and convert and range-check the numeric
+    flags of verify and kernel; ValueError names the first bad value."""
     try:
-        args.times = tuple(float(s) for s in args.t.split(","))
-    except ValueError:
-        raise ValueError(f"--t: bad time list {args.t!r}") from None
-    if not all(0 <= t < math.inf for t in args.times):
-        raise ValueError(f"--t: times must be finite and nonnegative, got {args.t!r}")
-    for name, (ok, want) in FLAG_RULES.items():
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be {want}, got {value!r}")
+        args.times = tuple(map(semigroup.check_time, args.t.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"--t {args.t!r}: {exc}") from None
+    for name, (convert, ok, want) in FLAG_RULES.items():
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            value = convert(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise ValueError(f"--{name.replace('_', '-')} must be {want}, got {text!r}")
+        setattr(args, name, value)
 
 
 # -- generate ------------------------------------------------------------------
@@ -234,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all",
                        help="comma list of " + ",".join(SUITES) + " or 'all'")
     p_ver.add_argument("--t", default=",".join(str(t) for t in DEFAULT_TIMES))
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=1e-10)
-    p_ver.add_argument("--n-funcs", type=int, default=DEFAULT_N_FUNCS)
+    p_ver.add_argument("--seed", default=0)
+    p_ver.add_argument("--tol", default=1e-10)
+    p_ver.add_argument("--n-funcs", default=DEFAULT_N_FUNCS)
     p_ver.add_argument("--out")
     p_ver.add_argument("--format", default="json", choices=("json", "csv"))
     p_ver.set_defaults(func=cmd_verify)
@@ -244,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker = sub.add_parser("kernel", help="dump heat kernel values as CSV")
     p_ker.add_argument("--graph", required=True)
     p_ker.add_argument("--t", default="1.0")
-    p_ker.add_argument("--tol", type=float, default=1e-10)
-    p_ker.add_argument("--mc", type=int, default=0,
+    p_ker.add_argument("--tol", default=1e-10)
+    p_ker.add_argument("--mc", default=0,
                        help="append Monte Carlo estimates with this many walks")
-    p_ker.add_argument("--seed", type=int, default=0)
+    p_ker.add_argument("--seed", default=0)
     p_ker.add_argument("--out")
     p_ker.set_defaults(func=cmd_kernel)
     return parser
@@ -262,7 +268,11 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:  # GraphFormatError included
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # e.g. an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

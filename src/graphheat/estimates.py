@@ -16,7 +16,13 @@ import numpy as np
 from .calculus import gamma, laplacian, require_positive
 from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate
 from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, site_reports
-from .semigroup import evolve, evolve_many, heat_kernel
+from .semigroup import check_time, evolve, evolve_many, heat_kernel
+
+HEAT_SERIES_TOL = 1e-16  # truncation below rounding, so below the FD noise floor
+FD_STEP = 3e-6  # near eps**(1/3): balances O(h^2) truncation and O(eps/h) rounding
+FD_REL = 1e-6  # relative agreement asked of the centered difference
+HARNACK_SERIES_TOL = 1e-12  # series truncation of the Harnack snapshots
+HARNACK_MAX_PAIRS = 1000  # sampled pairs on graphs of more than 30 vertices
 
 
 class HypothesisError(ValueError):
@@ -45,61 +51,54 @@ def gradient_lhs(g: WeightedGraph, u) -> np.ndarray:
     return gamma(g, np.sqrt(u)) / u - laplacian(g, u) / (2.0 * u)
 
 
-def gradient_estimate(g: WeightedGraph, u, abs_tol=DEFAULT_ABS_TOL,
-                      rel_tol=DEFAULT_REL_TOL):
+def gradient_estimate(g: WeightedGraph, u):
     """Per-vertex check of the global gradient estimate against d_mu.
 
     Unconditional: passes for every positive u on every graph.
     """
     return site_reports("gradient_estimate", g.ids, gradient_lhs(g, u),
-                        g.constants().d_mu, abs_tol, rel_tol)
+                        g.constants().d_mu)
 
 
-def heat_gradient_estimate(g: WeightedGraph, u0, times, tol=1e-16,
-                           fd_step=3e-6, fd_rel=1e-6,
-                           abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def heat_gradient_estimate(g: WeightedGraph, u0, times):
     """Gradient estimate along a heat-equation solution started at u0.
 
     The time derivative of sqrt(u) is evaluated by the exact substitution
     (Lu)/(2 sqrt u) (valid since d/dt u = Lu); each site also gets a
     cross-check report comparing it with a centered finite difference in t,
-    to fd_rel relative accuracy with an absolute floor at the difference
+    to FD_REL relative accuracy with an absolute floor at the difference
     quotient's own rounding noise.
     """
     u0 = require_positive(g, u0)
     d_mu = g.constants().d_mu
     reports = []
-    for t in times:
-        if t < 0:
-            raise ValueError("times must be nonnegative")
-        do_fd = t >= fd_step
+    for t in map(check_time, times):
+        do_fd = t >= FD_STEP
         if do_fd:
             # step t-h -> t -> t+h along one semigroup chain, so the series
             # rounding of the long evolution is common to all three states
             # and cancels in the difference quotient
-            minus = evolve(g, u0, t - fd_step, tol=tol)
-            ut = evolve(g, minus, fd_step, tol=tol)
-            plus = evolve(g, ut, fd_step, tol=tol)
+            minus = evolve(g, u0, t - FD_STEP, tol=HEAT_SERIES_TOL)
+            ut = evolve(g, minus, FD_STEP, tol=HEAT_SERIES_TOL)
+            plus = evolve(g, ut, FD_STEP, tol=HEAT_SERIES_TOL)
         else:
-            ut = evolve(g, u0, t, tol=tol)
+            ut = evolve(g, u0, t, tol=HEAT_SERIES_TOL)
         st = np.sqrt(ut)
         dt_sqrt = laplacian(g, ut) / (2.0 * st)
         lhs = gamma(g, st) / ut - dt_sqrt / st
         reports += site_reports("heat_gradient_estimate",
-                                ([x, t] for x in g.ids), lhs, d_mu,
-                                abs_tol, rel_tol)
+                                ([x, t] for x in g.ids), lhs, d_mu)
         if do_fd:
-            fd = (np.sqrt(plus) - np.sqrt(minus)) / (2.0 * fd_step)
+            fd = (np.sqrt(plus) - np.sqrt(minus)) / (2.0 * FD_STEP)
             floor = 1e-9 * float(np.max(st))
             reports += site_reports("heat_gradient_fd",
                                     ([x, t] for x in g.ids),
                                     np.abs(fd - dt_sqrt),
-                                    fd_rel * np.abs(dt_sqrt) + floor, 0.0, 0.0)
+                                    FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0)
     return reports
 
 
-def prior_gradient_estimate(g: WeightedGraph, u, abs_tol=DEFAULT_ABS_TOL,
-                            rel_tol=DEFAULT_REL_TOL):
+def prior_gradient_estimate(g: WeightedGraph, u):
     """Per-vertex check of sqrt(2 Gamma(u))/u <= sqrt(d) Lu/u + sqrt(d) d_mu
     + sqrt(d_mu).
 
@@ -118,21 +117,21 @@ def prior_gradient_estimate(g: WeightedGraph, u, abs_tol=DEFAULT_ABS_TOL,
                "rel_slack_current": cur, "rel_slack_prior": prior}
               for cur, prior in zip(rel_cur.tolist(), rel_prior.tolist())]
     return site_reports("prior_gradient_estimate", g.ids, lhs, rhs,
-                        abs_tol, rel_tol, extras)
+                        extras=extras)
 
 
-def sample_positive_function(g: WeightedGraph, rng, lo=1e-6, hi=1e6) -> np.ndarray:
-    """Log-uniform positive function, stressing sites where sqrt(u)
-    differences are extreme."""
-    return np.exp(rng.uniform(math.log(lo), math.log(hi), size=g.n))
+def sample_positive_function(g: WeightedGraph, rng) -> np.ndarray:
+    """Log-uniform positive function on [1e-6, 1e6], stressing sites where
+    sqrt(u) differences are extreme."""
+    return np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=g.n))
 
 
-def independence_sweep(n_sites=10_000, seed=0, n_min=4, n_max=12):
+def independence_sweep(n_sites=10_000, seed=0):
     """Random sweep comparing relative slacks of the two gradient estimates.
 
     Returns a dict with the tallies per direction and one witness site for
-    each, drawn from random graphs with unit, degree, and log-uniform
-    explicit measures.
+    each, drawn from random graphs of 4 to 12 vertices with unit, degree,
+    and log-uniform explicit measures.
     """
     rng = np.random.default_rng(seed)
     tally = {"current": 0, "prior": 0}
@@ -141,7 +140,7 @@ def independence_sweep(n_sites=10_000, seed=0, n_min=4, n_max=12):
     draw = 0
     while sites < n_sites:
         draw += 1
-        n = int(rng.integers(n_min, n_max + 1))
+        n = int(rng.integers(4, 13))
         gseed = int(rng.integers(2**32))
         mode = ("unit", "degree", "explicit")[draw % 3]
         mu = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=n)) \
@@ -176,10 +175,9 @@ def min_form_bound(d_mu: float, n: float, K: float, alpha: float,
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if R <= 1:
-        raise ValueError("R must exceed 1")
-    if t <= 0 or K <= 0:
-        raise ValueError("t and K must be positive")
+    if not (R > 1 and K > 0):
+        raise ValueError("R must exceed 1 and K must be positive")
+    t = check_time(t, positive=True)
     second = (n / ((1.0 - alpha) * 2.0 * t)
               + n * (2.0 + d_w) * d_mu / ((1.0 - alpha) * R)
               + K * n / (2.0 * alpha))
@@ -202,33 +200,32 @@ def harnack_factor(g: WeightedGraph, x, y, t1: float, t2: float) -> float:
     Returns math.inf when the exponent overflows a double (the bound
     degenerates as t2 - t1 -> 0+ at positive distance).
     """
+    t1, t2 = check_time(t1), check_time(t2)
     if t1 >= t2:
         raise ValueError("requires t1 < t2")
     return float(_harnack_form(g.constants(), g.dist(x, y), t2 - t1))
 
 
-def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None,
-                   max_pairs=1000, seed=0, abs_tol=DEFAULT_ABS_TOL,
-                   rel_tol=DEFAULT_REL_TOL, tol=1e-12):
+def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
     """Check u(x, t1) <= u(y, t2) * harnack_factor over sampled sites.
 
     pairs defaults to all ordered vertex pairs when the graph has at most 30
-    vertices and a seeded uniform sample of max_pairs otherwise.
+    vertices and a seeded uniform sample of HARNACK_MAX_PAIRS otherwise.
     """
     u0 = require_positive(g, u0)
-    times = sorted(set(float(t) for t in time_grid))
+    times = sorted(set(map(check_time, time_grid)))
     if len(times) < 2:
         raise ValueError("need at least two distinct times")
     c = g.constants()
     D = g.distance_matrix()
-    snapshots = {t: evolve(g, u0, t, tol=tol) for t in times}
+    snapshots = {t: evolve(g, u0, t, tol=HARNACK_SERIES_TOL) for t in times}
     if pairs is None and g.n <= 30:
         I, J = np.divmod(np.arange(g.n * g.n), g.n)
     else:
         if pairs is None:
             rng = np.random.default_rng(seed)
             pairs = [(rng.integers(g.n), rng.integers(g.n))
-                     for _ in range(max_pairs)]
+                     for _ in range(HARNACK_MAX_PAIRS)]
         else:
             pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
         I, J = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
@@ -242,11 +239,11 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None,
             F = _harnack_form(c, hops, t2 - t1)
             reports += site_reports(
                 "harnack", ([x, t1, y, t2] for x, y in zip(xs, ys)),
-                snapshots[t1][I], snapshots[t2][J] * F, abs_tol, rel_tol)
+                snapshots[t1][I], snapshots[t2][J] * F)
     return reports
 
 
-def harnack_sweep(g: WeightedGraph, u0s, time_grid, tol=1e-12):
+def harnack_sweep(g: WeightedGraph, u0s, time_grid):
     """Vectorized all-pairs Harnack check over many initial functions.
 
     u0s is (n, m), one positive initial condition per column. Returns
@@ -254,12 +251,12 @@ def harnack_sweep(g: WeightedGraph, u0s, time_grid, tol=1e-12):
     u(x,t1) / (u(y,t2) * factor).
     """
     U0 = np.asarray(u0s, dtype=float)
-    times = sorted(set(float(t) for t in time_grid))
+    times = sorted(set(map(check_time, time_grid)))
     c = g.constants()
     D = g.distance_matrix()
     if not np.all(np.isfinite(D)):
         raise ValueError("harnack_sweep requires a connected graph")
-    U = {t: evolve_many(g, U0, t, tol=tol) for t in times}
+    U = {t: evolve_many(g, U0, t, tol=HARNACK_SERIES_TOL) for t in times}
     n_checks = 0
     n_fail = 0
     max_ratio = 0.0
@@ -269,7 +266,7 @@ def harnack_sweep(g: WeightedGraph, u0s, time_grid, tol=1e-12):
             # ratio[x, y, k] = u(x, t1, k) / (F[x, y] * u(y, t2, k))
             ratio = U[t1][:, None, :] / (F[:, :, None] * U[t2][None, :, :])
             n_checks += ratio.size
-            n_fail += int(np.count_nonzero(ratio > 1.0 + 1e-9))
+            n_fail += int(np.count_nonzero(ratio > 1.0 + DEFAULT_REL_TOL))
             max_ratio = max(max_ratio, float(ratio.max()))
     return n_checks, n_fail, max_ratio
 
@@ -280,8 +277,9 @@ def optimal_time_gap(d_mu: float, mu_max: float, w_min: float, t: float):
     """Minimizer and infimum of s -> 2 d_mu s + (4 mu_max/w_min) t / s over
     s > 0: gap = sqrt(2 mu_max t / (d_mu w_min)), value = 4 sqrt(2 d_mu
     mu_max t / w_min)."""
-    if min(d_mu, mu_max, w_min, t) <= 0:
-        raise ValueError("all inputs must be positive")
+    if not (d_mu > 0 and mu_max > 0 and w_min > 0):
+        raise ValueError("graph constants must be positive")
+    t = check_time(t, positive=True)
     gap = math.sqrt(2.0 * mu_max * t / (d_mu * w_min))
     value = 4.0 * math.sqrt(2.0 * d_mu * mu_max * t / w_min)
     return gap, value
@@ -290,23 +288,20 @@ def optimal_time_gap(d_mu: float, mu_max: float, w_min: float, t: float):
 def heat_kernel_upper_bound(g: WeightedGraph, t: float, x) -> float:
     """(1 / Vol(B(x, sqrt t))) * exp{4 sqrt(2 d_mu mu_max t / w_min)};
     dominates p(t, x, y) for every y."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = check_time(t, positive=True)
     c = g.constants()
     _, value = optimal_time_gap(c.d_mu, c.mu_max, c.w_min, t)
     return math.exp(value) / g.ball_volume(x, math.sqrt(t))
 
 
-def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None,
-                        abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None):
     _require_symmetric(g, "heat kernel upper bound")
     if kernel is None:
         kernel = heat_kernel(g, t)
     bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids]
     return site_reports("kernel_upper",
                         ([x, y, t] for x in g.ids for y in g.ids),
-                        kernel.matrix.ravel(), np.repeat(bound, g.n),
-                        abs_tol, rel_tol)
+                        kernel.matrix.ravel(), np.repeat(bound, g.n))
 
 
 def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
@@ -318,18 +313,17 @@ def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
 def heat_kernel_lower_bound(g: WeightedGraph, t: float, x, y) -> float:
     """(1/deg(y)) * exp{-2t - (4 mu_max/w_min) dist(x,y)^2 / t}; requires
     mu = deg and symmetric weights."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = check_time(t, positive=True)
     _require_symmetric(g, "heat kernel lower bound")
     _require_mu_deg(g, "heat kernel lower bound")
     return float(_kernel_lower_form(g.constants(), g.dist(x, y), t,
                                     g.degree(y)))
 
 
-def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None,
-                        abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None):
     _require_symmetric(g, "heat kernel lower bound")
     _require_mu_deg(g, "heat kernel lower bound")
+    t = check_time(t, positive=True)
     if kernel is None:
         kernel = heat_kernel(g, t)
     D = g.distance_matrix()
@@ -338,18 +332,17 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None,
     return site_reports("kernel_lower",
                         ([g.ids[i], g.ids[j], t]
                          for i, j in zip(I.tolist(), J.tolist())),
-                        bound[I, J], kernel.matrix[I, J], abs_tol, rel_tol)
+                        bound[I, J], kernel.matrix[I, J])
 
 
-def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None,
-                          abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
+def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None):
     """p(t, y, y) >= e^{-t}/deg(y) on mu = deg graphs."""
     _require_mu_deg(g, "diagonal lower bound")
+    t = check_time(t)
     if kernel is None:
         kernel = heat_kernel(g, t)
     return site_reports("diagonal_lower", ([y, t] for y in g.ids),
-                        math.exp(-t) / g.degrees, kernel.matrix.diagonal(),
-                        abs_tol, rel_tol)
+                        math.exp(-t) / g.degrees, kernel.matrix.diagonal())
 
 
 def _volume_growth_factor(c: GraphConstants, t: float) -> float:
@@ -360,15 +353,13 @@ def _volume_growth_factor(c: GraphConstants, t: float) -> float:
 def volume_growth_bound(g: WeightedGraph, y, t: float) -> float:
     """Vol(B(y, 1)) * exp{t + 4 sqrt(2 mu_max t / w_min)}; dominates
     Vol(B(y, sqrt t)) under mu = deg with symmetric weights."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = check_time(t, positive=True)
     _require_symmetric(g, "volume growth bound")
     _require_mu_deg(g, "volume growth bound")
     return g.ball_volume(y, 1.0) * _volume_growth_factor(g.constants(), t)
 
 
-def verify_volume_growth(g: WeightedGraph, times, abs_tol=DEFAULT_ABS_TOL,
-                         rel_tol=DEFAULT_REL_TOL):
+def verify_volume_growth(g: WeightedGraph, times):
     """Check Vol(B(y, sqrt t)) against volume_growth_bound at every vertex.
 
     Each report also notes (in extra) whether the stronger variant with
@@ -380,13 +371,12 @@ def verify_volume_growth(g: WeightedGraph, times, abs_tol=DEFAULT_ABS_TOL,
     c = g.constants()
     reports = []
     for t in times:
-        if t <= 0:
-            raise ValueError("times must be positive")
+        t = check_time(t, positive=True)
         factor = _volume_growth_factor(c, t)
         lhs = np.array([g.ball_volume(y, math.sqrt(t)) for y in g.ids])
         rhs = np.array([g.ball_volume(y, 1.0) for y in g.ids]) * factor
-        strong = lhs <= g.degrees * factor * (1.0 + rel_tol) + abs_tol
+        strong = lhs <= g.degrees * factor * (1.0 + DEFAULT_REL_TOL) + DEFAULT_ABS_TOL
         reports += site_reports(
-            "volume_growth", ([y, t] for y in g.ids), lhs, rhs, abs_tol,
-            rel_tol, [{"degree_variant_holds": s} for s in strong.tolist()])
+            "volume_growth", ([y, t] for y in g.ids), lhs, rhs,
+            extras=[{"degree_variant_holds": s} for s in strong.tolist()])
     return reports

@@ -212,8 +212,8 @@ class WeightedGraph:
 
     def ball(self, x, r: float) -> np.ndarray:
         """Indices of the closed ball {z : dist(x, z) <= r}."""
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
+        if not r >= 0:
+            raise ValueError(f"radius must be nonnegative, got {r!r}")
         return np.nonzero(self._hops[self._resolve(x)] <= r)[0]
 
     def ball_volume(self, x, r: float) -> float:

@@ -26,6 +26,14 @@ DEFAULT_TOL = 1e-10
 DENSE_ORACLE_CAP = 200
 
 
+def check_time(t, positive: bool = False) -> float:
+    """float(t) if t is finite and >= 0 (> 0 where the caller divides by t)."""
+    t = float(t)
+    if not (0 < t < math.inf if positive else 0 <= t < math.inf):
+        raise ValueError(f"time must be finite and {'>' if positive else '>='} 0, got {t!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class HeatKernel:
     """p(t, x, y) as a dense matrix in the graph's vertex order."""
@@ -56,17 +64,16 @@ def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarr
     Coefficients are evaluated in log space, so large lam*t neither overflows
     t^k/k! nor underflows the whole series.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    t = check_time(t)
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     rates = g.degrees / g.mu
     lam = float(rates.max(initial=0.0))
-    if t == 0 or lam == 0:
+    lt = lam * t
+    if lt == 0:  # t = 0, no edges, or lam * t underflowing: exp(tL) = I
         return operand.astype(float).copy()
     L = generator(g)
     Q = np.eye(g.n) + L / lam
-    lt = lam * t
     log_lt = math.log(lt)
 
     cur = operand.astype(float).copy()
@@ -113,17 +120,16 @@ def evolve_many(g: WeightedGraph, U0, t: float, tol: float = DEFAULT_TOL) -> np.
     return _uniformized_apply(g, t, tol, U0)
 
 
-def dense_oracle(g: WeightedGraph, t: float, cap: int = DENSE_ORACLE_CAP) -> HeatKernel:
+def dense_oracle(g: WeightedGraph, t: float) -> HeatKernel:
     """Independent kernel via full spectral decomposition of the generator.
 
     For symmetric weights the generator is symmetrized in the mu-inner
     product and diagonalized exactly; otherwise a dense matrix exponential
     is used.
     """
-    if g.n > cap:
-        raise ValueError(f"graph too large for dense oracle ({g.n} > {cap})")
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    if g.n > DENSE_ORACLE_CAP:
+        raise ValueError(f"graph too large for dense oracle ({g.n} > {DENSE_ORACLE_CAP})")
+    t = check_time(t)
     L = generator(g)
     if g.weights_symmetric:
         root = np.sqrt(g.mu)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph
+from .semigroup import check_time
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -63,8 +64,7 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
     jumped by the walk index), so results are deterministic per
     (seed, walk-index) regardless of execution order.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    t = check_time(t)
     if n_walks < 1:
         raise ValueError("need at least one walk")
     src = g._resolve(x)
@@ -102,5 +102,5 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
                     done = True
                     break
         counts[pos] += 1
-    return WalkEstimate(float(t), g.ids[src], counts, int(n_walks), int(seed), g)
+    return WalkEstimate(t, g.ids[src], counts, int(n_walks), int(seed), g)
 

@@ -60,7 +60,7 @@ def test_criterion_02_gradient_estimate(draws500):
     n_fail = 0
     min_slack = math.inf
     for g, u in draws500:
-        for r in gradient_estimate(g, u, abs_tol=1e-10, rel_tol=1e-9):
+        for r in gradient_estimate(g, u):
             min_slack = min(min_slack, r.slack)
             n_fail += not r.passed
     reps = gradient_estimate(k2(), [1.0, 1e-4])

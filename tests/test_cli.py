@@ -203,9 +203,16 @@ def test_exit_code_matrix(tmp_path, capsys, name, command):
 
 
 # bad flag values -> argv after the command; each exits 2 with one line, where
-# they used to exit 1 with a traceback, hang in the series, or check nothing
+# they used to exit 1 with a traceback, hang in the series, check nothing, or
+# print argparse's usage block
 BAD_FLAGS = {
     "verify-t-not-a-number": ["verify", "--t", "abc"],
+    "verify-tol-not-a-number": ["verify", "--tol", "x"],
+    "verify-seed-not-a-number": ["verify", "--seed", "1.5"],
+    "verify-n-funcs-not-a-number": ["verify", "--n-funcs", "many"],
+    "kernel-tol-not-a-number": ["kernel", "--tol", "x"],
+    "kernel-mc-not-a-number": ["kernel", "--mc", "abc"],
+    "kernel-seed-not-a-number": ["kernel", "--seed", "s"],
     "verify-t-empty": ["verify", "--t", ""],
     "verify-t-inf": ["verify", "--t", "inf"],
     "verify-n-funcs-negative": ["verify", "--suite", "gradient",
@@ -228,3 +235,17 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+     "--suite", "gradient", "--n-funcs", "1"],
+    ["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json"],
+    ["generate", "--family", "path", "--n", "2"],
+], ids=["verify", "kernel", "generate"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # used to die with a FileNotFoundError traceback and exit 1
+    code = run([*command, "--out", tmp_path / "missing" / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

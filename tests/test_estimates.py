@@ -397,3 +397,59 @@ def test_verify_harnack_keeps_given_pair_order_and_drops_unreachable():
         assert r.rhs == pytest.approx(
             u2[g.index[y]] * harnack_factor(g, x, y, 0.2, 1.0), rel=1e-15)
     assert all_pass(reps)
+
+
+# -- rejected inputs ---------------------------------------------------------------
+
+def _grid3():
+    return generate("grid", rows=3, cols=3, measure_mode="degree")
+
+
+def _with(value):
+    u = np.ones(9)
+    u[4] = value
+    return u
+
+
+# probe -> call on the 3x3 mu = deg grid; each used to return NaN, raise
+# something other than ValueError, or emit reports (failing, or passing on a
+# NaN or infinite value)
+REJECTED = {
+    "volume-growth-nan-time": lambda g: verify_volume_growth(g, [math.nan]),
+    "diagonal-lower-nan-time": lambda g: verify_diagonal_lower(
+        g, math.nan, kernel=heat_kernel(g, 1.0)),
+    "kernel-lower-zero-time": lambda g: verify_kernel_lower(g, 0.0),
+    "kernel-upper-bound-nan-time": lambda g: heat_kernel_upper_bound(
+        g, math.nan, "v0"),
+    "kernel-lower-bound-nan-time": lambda g: heat_kernel_lower_bound(
+        g, math.nan, "v0", "v1"),
+    "volume-growth-bound-nan-time": lambda g: volume_growth_bound(
+        g, "v0", math.nan),
+    "harnack-factor-nan-t1": lambda g: harnack_factor(g, "v0", "v1",
+                                                      math.nan, 1.0),
+    "harnack-factor-nan-t2": lambda g: harnack_factor(g, "v0", "v1",
+                                                      0.0, math.nan),
+    "time-gap-nan-time": lambda g: optimal_time_gap(1.0, 1.0, 1.0, math.nan),
+    "time-gap-nan-d-mu": lambda g: optimal_time_gap(math.nan, 1.0, 1.0, 1.0),
+    "time-gap-nan-mu-max": lambda g: optimal_time_gap(1.0, math.nan, 1.0, 1.0),
+    "time-gap-nan-w-min": lambda g: optimal_time_gap(1.0, 1.0, math.nan, 1.0),
+    "min-form-nan-time": lambda g: min_form_bound(1, 2, 1, 0.5, math.nan, 2, 2),
+    "min-form-nan-k": lambda g: min_form_bound(1, 2, math.nan, 0.5, 1, 2, 2),
+    "min-form-nan-r": lambda g: min_form_bound(1, 2, 1, 0.5, 1, math.nan, 2),
+    "gradient-nan-value": lambda g: gradient_estimate(g, _with(math.nan)),
+    "gradient-inf-value": lambda g: gradient_estimate(g, _with(math.inf)),
+    "prior-nan-value": lambda g: prior_gradient_estimate(g, _with(math.nan)),
+    "prior-inf-value": lambda g: prior_gradient_estimate(g, _with(math.inf)),
+    "harnack-nan-value": lambda g: verify_harnack(g, _with(math.nan),
+                                                  [0.1, 1.0]),
+    "harnack-inf-value": lambda g: verify_harnack(g, _with(math.inf),
+                                                  [0.1, 1.0]),
+    "ball-nan-radius": lambda g: g.ball("v0", math.nan),
+    "ball-volume-nan-radius": lambda g: g.ball_volume("v0", math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejects_non_finite_and_out_of_domain_input(name):
+    with pytest.raises(ValueError):
+        REJECTED[name](_grid3())

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import k2, log_uniform, random_graph
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve,
                        evolve_many, generate, heat_kernel, verify_harnack)
+from graphheat.semigroup import DENSE_ORACLE_CAP
 
 
 def test_kernel_at_time_zero():
@@ -57,6 +59,13 @@ def test_dense_oracle_rejects_non_finite_time(t):
 def test_harnack_rejects_infinite_time():
     with pytest.raises(ValueError):
         verify_harnack(k2(), [1.0, 2.0], [0.1, math.inf])
+
+
+def test_series_when_lam_t_underflows():
+    # lam * t rounds to 0 for this positive time: the series took log(0)
+    g = k2(mu=(10.0, 10.0), w=0.5)
+    K = heat_kernel(g, 5e-324)
+    np.testing.assert_array_equal(K.matrix, np.diag(1.0 / g.mu))
 
 
 def test_kernel_edgeless_graph():
@@ -155,6 +164,45 @@ def test_asymmetric_generator_kernel():
 
 
 def test_dense_oracle_cap():
-    g = generate("path", n=10)
+    g = generate("path", n=DENSE_ORACLE_CAP + 1)
     with pytest.raises(ValueError):
-        dense_oracle(g, 1.0, cap=5)
+        dense_oracle(g, 1.0)
+
+
+@st.composite
+def measured_graphs(draw):
+    """Symmetric graphs of at most 10 vertices, weights in [0.5, 2] as in
+    random_graph, and an explicit measure log-uniform in [0.1, 10]."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(f"v{i}", f"v{j}", draw(st.floats(0.5, 2.0))) for i, j in chosen]
+    mu = [10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    return WeightedGraph([f"v{i}" for i in range(n)], edges, mu=mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(measured_graphs(), st.floats(0.0, 2.0), st.floats(0.0, 1.0))
+def test_kernel_invariants_over_random_measures(g, t, split):
+    # The bounds are those of the unit-measure tests above. p = E / mu(y),
+    # where E = exp(tL) is row-stochastic and its error (series truncation
+    # <= tol per entry, rounding) does not depend on mu; so errors in p scale
+    # by max 1/mu, while the mass (the row sums of E) does not scale.
+    scale = float(np.max(1.0 / g.mu))
+    tol = 1e-12
+    K = heat_kernel(g, t, tol=tol)
+    np.testing.assert_allclose(K.mass(), 1.0, atol=1e-9)
+    np.testing.assert_allclose(K.matrix, K.matrix.T, atol=1e-10 * scale)
+    oracle = dense_oracle(g, t).matrix
+    assert np.abs(K.matrix - oracle).max() <= 1e-8 * scale
+    # nonnegative; exactly 0 across components; positive within one wherever
+    # the exact kernel clears the truncation error tol * scale, with as much
+    # again for the oracle's rounding (the series drops terms below tol, so a
+    # far pair at small t may read 0)
+    same_component = np.isfinite(g.distance_matrix())
+    assert np.all(K.matrix >= 0.0)
+    assert np.all(K.matrix[~same_component] == 0.0)
+    assert np.all(K.matrix[same_component & (oracle > 2 * tol * scale)] > 0.0)
+    s = split * t
+    ks, kt = heat_kernel(g, s, tol=tol), heat_kernel(g, t - s, tol=tol)
+    assert np.abs(compose(ks, kt) - K.matrix).max() <= 1e-8 * scale
