@@ -36,8 +36,8 @@ print(f"largest lhs over 200 random functions: {worst:.6f}  (bound {d_mu})")
 # ---------------------------------------------------------------------------
 k2 = WeightedGraph(["a", "b"], [("a", "b", 1.0)], measure_mode="unit")
 for eps in (1e-2, 1e-4, 1e-8):
-    r = gradient_estimate(k2, {"a": 1.0, "b": eps})[0]
-    print(f"K2, u=(1, {eps:g}): slack = {r.slack:.3e}  (sqrt(eps) = {np.sqrt(eps):.3e})")
+    slack = gradient_estimate(k2, {"a": 1.0, "b": eps}).slack[0]
+    print(f"K2, u=(1, {eps:g}): slack = {slack:.3e}  (sqrt(eps) = {np.sqrt(eps):.3e})")
 
 # ---------------------------------------------------------------------------
 # 3. Neither this bound nor the older one dominates the other. The sweep

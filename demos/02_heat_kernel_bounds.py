@@ -71,6 +71,6 @@ print(f"  p({t},{x},{x}) = {K.value(x, x):.6f} <= "
 # ---------------------------------------------------------------------------
 reports = verify_volume_growth(g, times=[0.5, 1.0, 4.0, 16.0])
 print("volume growth:", summarize(reports))
-strong = all(r.extra["degree_variant_holds"] for r in reports)
+strong = all(e["degree_variant_holds"] for e in reports.extra)
 print(f"  stronger variant with deg(y) in place of Vol(B(y,1)): "
       f"{'also holds' if strong else 'fails somewhere'} here")

@@ -11,8 +11,8 @@ from .graph import (GraphConstants, GraphFormatError, UnreachableError,
                     graph_to_dict, load_graph, save_graph)
 from .calculus import (gamma, laplacian, neg_sqrt_laplacian_bound,
                        sqrt_identity_residual)
-from .semigroup import (HeatKernel, compose, dense_oracle, evolve, evolve_many,
-                        generator, heat_kernel)
+from .semigroup import (HeatKernel, compose, dense_oracle, evolve, generator,
+                        heat_kernel)
 from .estimates import (HypothesisError, gradient_estimate, gradient_lhs,
                         harnack_factor, heat_gradient_estimate,
                         heat_kernel_lower_bound, heat_kernel_upper_bound,
@@ -21,7 +21,7 @@ from .estimates import (HypothesisError, gradient_estimate, gradient_lhs,
                         verify_diagonal_lower, verify_harnack,
                         verify_kernel_lower, verify_kernel_upper,
                         verify_volume_growth, volume_growth_bound)
-from .reports import BoundReport, all_pass, summarize, write_jsonl
+from .reports import Reports, all_pass, summarize, write_jsonl
 from .walk import WalkEstimate, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

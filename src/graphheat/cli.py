@@ -29,27 +29,28 @@ DEFAULT_N_FUNCS = 20
 MC_ALPHA = 1e-3  # family-wise false-alarm rate of the kernel --mc verdict
 
 
-def _suite_rng(root_seed: int, suite: str) -> np.random.Generator:
-    # per-suite sub-seed derived from the root seed and the suite name
-    return np.random.default_rng((root_seed, zlib.crc32(suite.encode())))
-
-
+_POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite positive number")
+_COUNT = (int, lambda v: v >= 1, "an integer of at least 1")
 # numeric flag -> (converter, test, what a good value is); checked first
 FLAG_RULES = {
-    "tol": (float, lambda v: 0 < v < math.inf, "a finite positive number"),
+    "tol": _POSITIVE,
     "mc": (int, lambda v: v >= 0, "a nonnegative integer"),
-    "n_funcs": (int, lambda v: v >= 1, "an integer of at least 1"),
+    "n_funcs": _COUNT,
     "seed": (int, lambda v: v >= 0, "a nonnegative integer"),
+    "n": _COUNT, "rows": _COUNT, "cols": _COUNT,
+    "p": (float, lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "wmin": _POSITIVE, "wmax": _POSITIVE,
 }
 
 
 def _check_flags(args) -> None:
     """Parse --t into args.times and convert and range-check the numeric
-    flags of verify and kernel; ValueError names the first bad value."""
-    try:
-        args.times = tuple(map(semigroup.check_time, args.t.split(",")))
-    except ValueError as exc:
-        raise ValueError(f"--t {args.t!r}: {exc}") from None
+    flags; ValueError names the first bad value."""
+    if hasattr(args, "t"):
+        try:
+            args.times = tuple(map(semigroup.check_time, args.t.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"--t {args.t!r}: {exc}") from None
     for name, (convert, ok, want) in FLAG_RULES.items():
         text = getattr(args, name, None)
         if text is None:
@@ -83,43 +84,34 @@ def cmd_generate(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 def _run_suite(g, suite, times, seed, tol, n_funcs):
-    rng = _suite_rng(seed, suite)
-    out = []
+    """One Reports per verifier call, in call order."""
+    rng = np.random.default_rng((seed, zlib.crc32(suite.encode())))  # per suite
     pos_times = [t for t in times if t > 0]
-    if suite == "gradient":
-        for _ in range(n_funcs):
-            u = estimates.sample_positive_function(g, rng)
-            out.extend(estimates.gradient_estimate(g, u))
-            res = sqrt_identity_residual(g, u)
-            scale = max(1.0, float(np.max(np.abs(laplacian(g, u)))))
-            out.append(reports.BoundReport(
-                "sqrt_identity", "max_residual",
-                float(np.max(np.abs(res))), 1e-12 * scale,
-                abs_tol=0.0, rel_tol=0.0))
-    elif suite == "heat-gradient":
-        for _ in range(n_funcs):
-            u0 = estimates.sample_positive_function(g, rng)
-            out.extend(estimates.heat_gradient_estimate(g, u0, pos_times))
-    elif suite == "previous":
-        for _ in range(n_funcs):
-            u = estimates.sample_positive_function(g, rng)
-            out.extend(estimates.prior_gradient_estimate(g, u))
-    elif suite == "harnack":
-        grid = pos_times if len(pos_times) >= 2 else (0.1, 1.0)
-        for _ in range(n_funcs):
-            u0 = estimates.sample_positive_function(g, rng)
-            out.extend(estimates.verify_harnack(g, u0, grid,
-                                                seed=int(rng.integers(2**32))))
-    elif suite == "kernel-bounds":
+    if suite == "volume":
+        return [estimates.verify_volume_growth(g, pos_times)]
+    out = []
+    if suite == "kernel-bounds":
         for t in pos_times:
             kernel = semigroup.heat_kernel(g, t, tol=tol)
-            out.extend(estimates.verify_kernel_upper(g, t, kernel=kernel))
-            out.extend(estimates.verify_kernel_lower(g, t, kernel=kernel))
-            out.extend(estimates.verify_diagonal_lower(g, t, kernel=kernel))
-    elif suite == "volume":
-        out.extend(estimates.verify_volume_growth(g, pos_times))
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
+            out += [verify(g, t, kernel=kernel) for verify in (
+                estimates.verify_kernel_upper, estimates.verify_kernel_lower,
+                estimates.verify_diagonal_lower)]
+        return out
+    for _ in range(n_funcs):  # the function-sampling suites
+        u = estimates.sample_positive_function(g, rng)
+        if suite == "gradient":
+            res = np.max(np.abs(sqrt_identity_residual(g, u)))
+            scale = max(1.0, float(np.max(np.abs(laplacian(g, u)))))
+            out += [estimates.gradient_estimate(g, u), reports.site_reports(
+                "sqrt_identity", ["max_residual"], res, 1e-12 * scale, 0.0, 0.0)]
+        elif suite == "heat-gradient":
+            out.append(estimates.heat_gradient_estimate(g, u, pos_times))
+        elif suite == "previous":
+            out.append(estimates.prior_gradient_estimate(g, u))
+        else:  # harnack
+            grid = pos_times if len(pos_times) >= 2 else (0.1, 1.0)
+            out.append(estimates.verify_harnack(g, u, grid,
+                                                seed=int(rng.integers(2**32))))
     return out
 
 
@@ -133,31 +125,35 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"error: unknown suite(s) {bad}", file=sys.stderr)
         return 2
-    all_reports = []
     skipped = []
-    for suite in names:
-        try:
-            if suite in ("kernel-bounds", "volume"):
+    try:
+        g.constants()  # an edgeless graph has none
+        for suite in (s for s in names if s in ("kernel-bounds", "volume")):
+            try:
                 estimates._require_symmetric(g, f"suite {suite!r}")
                 estimates._require_mu_deg(g, f"suite {suite!r}")
-            all_reports.extend(_run_suite(g, suite, args.times, args.seed,
-                                          args.tol, args.n_funcs))
-        except (estimates.HypothesisError, GraphFormatError) as exc:
-            if skip_gated and isinstance(exc, estimates.HypothesisError):
+            except estimates.HypothesisError:
+                if not skip_gated:
+                    raise
                 skipped.append(suite)
-                continue
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except (estimates.HypothesisError, GraphFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.out:
+        open(args.out, "a").close()  # an unwritable --out fails before any work
+    # one Reports per verifier call; the whole run is never concatenated
+    records = [r for suite in names if suite not in skipped for r in _run_suite(
+        g, suite, args.times, args.seed, args.tol, args.n_funcs)]
 
     config = {"graph": args.graph, "suites": names, "skipped": skipped,
               "times": list(args.times), "seed": args.seed, "tol": args.tol,
               "n_funcs": args.n_funcs}
-    summary = reports.summarize(all_reports)
+    summary = reports.summarize(records)
     if args.out:
         if args.format == "json":
-            reports.write_jsonl(args.out, all_reports, config, summary)
+            reports.write_jsonl(args.out, records, config, summary)
         else:
-            reports.write_csv(args.out, all_reports)
+            reports.write_csv(args.out, records)
     ok = True
     for check, s in sorted(summary.items()):
         status = "pass" if s["n_pass"] == s["n"] else "FAIL"
@@ -167,9 +163,9 @@ def cmd_verify(args) -> int:
     for suite in skipped:
         print(f"{suite}: skipped (hypotheses not met)")
     if not ok:
-        failing = next(r for r in all_reports if not r.passed)
-        print(f"first failure: {failing.check} at {failing.site}",
-              file=sys.stderr)
+        r = next(r for r in records if not r.passed.all())
+        i = int(np.argmin(r.passed))  # the first False
+        print(f"first failure: {r.check[i]} at {r.site[i]}", file=sys.stderr)
         return 1
     return 0
 
@@ -224,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a graph JSON file")
     p_gen.add_argument("--family", required=True, choices=FAMILIES)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--rows", type=int)
-    p_gen.add_argument("--cols", type=int)
-    p_gen.add_argument("--p", type=float)
-    p_gen.add_argument("--wmin", type=float, default=1.0)
-    p_gen.add_argument("--wmax", type=float, default=1.0)
+    p_gen.add_argument("--n")
+    p_gen.add_argument("--rows")
+    p_gen.add_argument("--cols")
+    p_gen.add_argument("--p")
+    p_gen.add_argument("--wmin", default=1.0)
+    p_gen.add_argument("--wmax", default=1.0)
     p_gen.add_argument("--measure", default="unit", choices=MEASURE_MODES)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -261,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("verify", "kernel"):
-        try:
-            _check_flags(args)
+    try:
+        _check_flags(args)
+        if args.command != "generate":
             args.loaded_graph = load_graph(args.graph)
-        except (ValueError, OSError) as exc:  # GraphFormatError included
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except (ValueError, OSError) as exc:  # GraphFormatError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except OSError as exc:  # e.g. an unwritable --out

@@ -1,6 +1,6 @@
 """Computable forms of the global gradient estimate, the Harnack inequality,
-and the heat-kernel and volume-growth bounds, each with a verifier producing
-per-site BoundReports.
+and the heat-kernel and volume-growth bounds, each with a verifier returning
+one Reports row per site.
 
 Everything here is an inequality that holds exactly in real arithmetic, so a
 failure beyond the floating-point tolerance budget indicates a bug, not a
@@ -15,8 +15,8 @@ import numpy as np
 
 from .calculus import gamma, laplacian, require_positive
 from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate
-from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, site_reports
-from .semigroup import check_time, evolve, evolve_many, heat_kernel
+from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, concat, site_reports
+from .semigroup import check_time, evolve, heat_kernel
 
 HEAT_SERIES_TOL = 1e-16  # truncation below rounding, so below the FD noise floor
 FD_STEP = 3e-6  # near eps**(1/3): balances O(h^2) truncation and O(eps/h) rounding
@@ -71,7 +71,7 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
     """
     u0 = require_positive(g, u0)
     d_mu = g.constants().d_mu
-    reports = []
+    parts = []
     for t in map(check_time, times):
         do_fd = t >= FD_STEP
         if do_fd:
@@ -86,16 +86,16 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
         st = np.sqrt(ut)
         dt_sqrt = laplacian(g, ut) / (2.0 * st)
         lhs = gamma(g, st) / ut - dt_sqrt / st
-        reports += site_reports("heat_gradient_estimate",
-                                ([x, t] for x in g.ids), lhs, d_mu)
+        parts.append(site_reports("heat_gradient_estimate",
+                                  ([x, t] for x in g.ids), lhs, d_mu))
         if do_fd:
             fd = (np.sqrt(plus) - np.sqrt(minus)) / (2.0 * FD_STEP)
             floor = 1e-9 * float(np.max(st))
-            reports += site_reports("heat_gradient_fd",
-                                    ([x, t] for x in g.ids),
-                                    np.abs(fd - dt_sqrt),
-                                    FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0)
-    return reports
+            parts.append(site_reports("heat_gradient_fd",
+                                      ([x, t] for x in g.ids),
+                                      np.abs(fd - dt_sqrt),
+                                      FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0))
+    return concat(parts)
 
 
 def prior_gradient_estimate(g: WeightedGraph, u):
@@ -153,14 +153,15 @@ def independence_sweep(n_sites=10_000, seed=0):
         if g.num_edges == 0:
             continue
         u = sample_positive_function(g, rng)
-        for rep in prior_gradient_estimate(g, u):
-            which = rep.extra["tighter"]
+        reps = prior_gradient_estimate(g, u)
+        for site, extra in zip(reps.site, reps.extra):
+            which = extra["tighter"]
             tally[which] += 1
             if which not in witnesses:
                 witnesses[which] = {"graph_seed": gseed, "n": n,
-                                    "measure_mode": mode, "vertex": rep.site,
-                                    **rep.extra}
-            sites += 1
+                                    "measure_mode": mode, "vertex": site,
+                                    **extra}
+        sites += len(reps)
     return {"sites": sites, "tally": tally, "witnesses": witnesses}
 
 
@@ -175,6 +176,8 @@ def min_form_bound(d_mu: float, n: float, K: float, alpha: float,
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
+    if not all(0 < v < math.inf for v in (d_mu, n, d_w)):
+        raise ValueError("d_mu, n and d_w must be finite and positive")
     if not (R > 1 and K > 0):
         raise ValueError("R must exceed 1 and K must be positive")
     t = check_time(t, positive=True)
@@ -233,14 +236,11 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
     finite = np.isfinite(hops)
     I, J, hops = I[finite], J[finite], hops[finite]
     xs, ys = [g.ids[i] for i in I.tolist()], [g.ids[j] for j in J.tolist()]
-    reports = []
-    for a, t1 in enumerate(times):
-        for t2 in times[a + 1:]:
-            F = _harnack_form(c, hops, t2 - t1)
-            reports += site_reports(
-                "harnack", ([x, t1, y, t2] for x, y in zip(xs, ys)),
-                snapshots[t1][I], snapshots[t2][J] * F)
-    return reports
+    return concat(
+        site_reports("harnack", ([x, t1, y, t2] for x, y in zip(xs, ys)),
+                     snapshots[t1][I],
+                     snapshots[t2][J] * _harnack_form(c, hops, t2 - t1))
+        for a, t1 in enumerate(times) for t2 in times[a + 1:])
 
 
 def harnack_sweep(g: WeightedGraph, u0s, time_grid):
@@ -250,13 +250,12 @@ def harnack_sweep(g: WeightedGraph, u0s, time_grid):
     (n_checks, n_fail_at_rel_1e-9, max_ratio) where ratio is
     u(x,t1) / (u(y,t2) * factor).
     """
-    U0 = np.asarray(u0s, dtype=float)
     times = sorted(set(map(check_time, time_grid)))
     c = g.constants()
     D = g.distance_matrix()
     if not np.all(np.isfinite(D)):
         raise ValueError("harnack_sweep requires a connected graph")
-    U = {t: evolve_many(g, U0, t, tol=HARNACK_SERIES_TOL) for t in times}
+    U = {t: evolve(g, u0s, t, tol=HARNACK_SERIES_TOL) for t in times}
     n_checks = 0
     n_fail = 0
     max_ratio = 0.0
@@ -369,14 +368,14 @@ def verify_volume_growth(g: WeightedGraph, times):
     _require_symmetric(g, "volume growth bound")
     _require_mu_deg(g, "volume growth bound")
     c = g.constants()
-    reports = []
+    parts = []
     for t in times:
         t = check_time(t, positive=True)
         factor = _volume_growth_factor(c, t)
         lhs = np.array([g.ball_volume(y, math.sqrt(t)) for y in g.ids])
         rhs = np.array([g.ball_volume(y, 1.0) for y in g.ids]) * factor
         strong = lhs <= g.degrees * factor * (1.0 + DEFAULT_REL_TOL) + DEFAULT_ABS_TOL
-        reports += site_reports(
+        parts.append(site_reports(
             "volume_growth", ([y, t] for y in g.ids), lhs, rhs,
-            extras=[{"degree_variant_holds": s} for s in strong.tolist()])
-    return reports
+            extras=[{"degree_variant_holds": s} for s in strong.tolist()]))
+    return concat(parts)

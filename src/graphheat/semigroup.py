@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import WeightedGraph, as_vertex_function
 
@@ -105,19 +104,13 @@ def heat_kernel(g: WeightedGraph, t: float, tol: float = DEFAULT_TOL) -> HeatKer
 def evolve(g: WeightedGraph, u0, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Solve the heat equation: u(t) = sum_y mu(y) p(t, ., y) u0(y).
 
-    Applies the series to the vector directly, never forming the kernel.
+    u0 is a vertex function, or an (n, m) array with one initial function
+    per column. Applies the series to it directly, never forming the kernel.
     """
-    u0 = as_vertex_function(g, u0)
-    return _uniformized_apply(g, t, tol, u0)
-
-
-def evolve_many(g: WeightedGraph, U0, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Evolve several initial conditions at once; U0 has one column per
-    initial function."""
-    U0 = np.asarray(U0, dtype=float)
-    if U0.shape[0] != g.n:
+    u0 = np.asarray(u0, dtype=float) if np.ndim(u0) == 2 else as_vertex_function(g, u0)
+    if len(u0) != g.n:
         raise ValueError("initial-condition rows must match the vertex count")
-    return _uniformized_apply(g, t, tol, U0)
+    return _uniformized_apply(g, t, tol, u0)
 
 
 def dense_oracle(g: WeightedGraph, t: float) -> HeatKernel:
@@ -138,6 +131,7 @@ def dense_oracle(g: WeightedGraph, t: float) -> HeatKernel:
         E = (V * np.exp(t * evals)) @ V.T
         E = E / root[:, None] * root[None, :]
     else:
+        import scipy.linalg  # only this branch needs scipy
         E = scipy.linalg.expm(t * L)
     return HeatKernel(float(t), E / g.mu[None, :], g)
 

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from graphheat import load_graph
+from graphheat import cli, load_graph
 from graphheat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -222,6 +225,19 @@ BAD_FLAGS = {
     "kernel-t-inf": ["kernel", "--t", "inf"],
     "kernel-tol-nan": ["kernel", "--tol", "nan"],
     "kernel-mc-negative": ["kernel", "--mc", "-5"],
+    "generate-n-not-a-number": ["generate", "--family", "path", "--n", "abc"],
+    "generate-rows-not-a-number": ["generate", "--family", "grid",
+                                   "--rows", "x", "--cols", "2"],
+    "generate-cols-not-a-number": ["generate", "--family", "grid",
+                                   "--rows", "2", "--cols", "2.5"],
+    "generate-p-not-a-number": ["generate", "--family", "random", "--n", "4",
+                                "--p", "half"],
+    "generate-wmin-not-a-number": ["generate", "--family", "random", "--n", "4",
+                                   "--p", "0.5", "--wmin", "w"],
+    "generate-wmax-not-a-number": ["generate", "--family", "random", "--n", "4",
+                                   "--p", "0.5", "--wmax", "2x"],
+    "generate-seed-not-a-number": ["generate", "--family", "path", "--n", "3",
+                                   "--seed", "s"],
 }
 
 
@@ -229,8 +245,9 @@ BAD_FLAGS = {
 def test_bad_flag_values_exit_2(tmp_path, capsys, name):
     command, *flags = BAD_FLAGS[name]
     out = tmp_path / "out"
-    code = run([command, "--graph", ROOT / "example_graphs" / "grid3x3.json",
-                *flags, "--out", out])
+    if command != "generate":
+        flags = ["--graph", ROOT / "example_graphs" / "grid3x3.json", *flags]
+    code = run([command, *flags, "--out", out])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -243,9 +260,23 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, name):
     ["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json"],
     ["generate", "--family", "path", "--n", "2"],
 ], ids=["verify", "kernel", "generate"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command):
-    # used to die with a FileNotFoundError traceback and exit 1
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # used to die with a FileNotFoundError traceback and exit 1; verify
+    # checks --out before it runs any suite
+    def no_work(*args):
+        raise AssertionError("a suite ran before --out was checked")
+    monkeypatch.setattr(cli, "_run_suite", no_work)
     code = run([*command, "--out", tmp_path / "missing" / "out"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by dense_oracle on asymmetric weights
+    code = ("import sys, graphheat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "[]"

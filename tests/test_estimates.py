@@ -22,20 +22,20 @@ from graphheat.estimates import harnack_sweep
 def test_gradient_estimate_constant():
     g = k2()
     reps = gradient_estimate(g, [7.0, 7.0])
-    assert all(r.lhs == 0.0 and r.rhs == 1.0 for r in reps)
+    assert np.all(reps.lhs == 0.0) and np.all(reps.rhs == 1.0)
 
 
 def test_gradient_estimate_k2_example():
     reps = gradient_estimate(k2(), [4.0, 1.0])
-    assert reps[0].lhs == pytest.approx(0.5, abs=1e-14)
+    assert reps.lhs[0] == pytest.approx(0.5, abs=1e-14)
     assert all_pass(reps)
 
 
 def test_gradient_estimate_near_sharpness():
     eps = 1e-4
     reps = gradient_estimate(k2(), [1.0, eps])
-    assert reps[0].lhs == pytest.approx(1 - math.sqrt(eps), abs=1e-12)
-    assert reps[0].slack == pytest.approx(math.sqrt(eps), abs=1e-10)
+    assert reps.lhs[0] == pytest.approx(1 - math.sqrt(eps), abs=1e-12)
+    assert reps.slack[0] == pytest.approx(math.sqrt(eps), abs=1e-10)
 
 
 def test_gradient_estimate_scale_invariance():
@@ -63,20 +63,19 @@ def test_gradient_estimate_rejects_nonpositive():
 
 def test_heat_gradient_constant():
     reps = heat_gradient_estimate(k2(), [3.0, 3.0], [0.5, 2.0])
-    for r in reps:
-        if r.check == "heat_gradient_estimate":
-            assert abs(r.lhs) <= 1e-12
-        assert r.passed
+    main = reps.check == "heat_gradient_estimate"
+    assert np.all(np.abs(reps.lhs[main]) <= 1e-12)
+    assert reps.passed.all()
 
 
 def test_heat_gradient_k2_closed_form():
     # u(t, a) = 2.5 + 1.5 e^{-2t}; both derivative routes agree and pass
     reps = heat_gradient_estimate(k2(), [4.0, 1.0], [1.0])
     assert all_pass(reps)
-    main = [r for r in reps if r.check == "heat_gradient_estimate"]
-    assert all(r.lhs <= 1.0 for r in main)
-    fd = [r for r in reps if r.check == "heat_gradient_fd"]
-    assert len(fd) == 2 and all_pass(fd)
+    main = reps.check == "heat_gradient_estimate"
+    assert np.all(reps.lhs[main] <= 1.0)
+    fd = reps.check == "heat_gradient_fd"
+    assert np.count_nonzero(fd) == 2 and reps.passed[fd].all()
 
 
 def test_heat_gradient_random_sweep():
@@ -93,17 +92,16 @@ def test_prior_estimate_constant():
     g = k2()
     reps = prior_gradient_estimate(g, [5.0, 5.0])
     c = g.constants()
-    for r in reps:
-        assert r.lhs == 0.0
-        assert r.rhs == pytest.approx(
-            math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu))
+    assert np.all(reps.lhs == 0.0)
+    assert reps.rhs.tolist() == pytest.approx(
+        [math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu)] * g.n)
 
 
 def test_prior_estimate_k2_example():
     eps = 0.25
     reps = prior_gradient_estimate(k2(), [1.0, eps])
-    assert reps[0].lhs == pytest.approx(1 - eps, abs=1e-14)
-    assert reps[0].rhs == pytest.approx(1 + eps, abs=1e-14)
+    assert reps.lhs[0] == pytest.approx(1 - eps, abs=1e-14)
+    assert reps.rhs[0] == pytest.approx(1 + eps, abs=1e-14)
     assert all_pass(reps)
 
 
@@ -190,14 +188,14 @@ def test_harnack_factor_degenerate_gap_is_inf():
 def test_verify_harnack_constant():
     reps = verify_harnack(k2(), [2.0, 2.0], [0.1, 1.0])
     assert all_pass(reps)
-    assert all(r.lhs <= r.rhs for r in reps)
+    assert np.all(reps.lhs <= reps.rhs)
 
 
 def test_verify_harnack_k2_example():
     reps = verify_harnack(k2(), [4.0, 1.0], [0.0, 1.0])
-    site = next(r for r in reps if r.site == ["a", 0.0, "b", 1.0])
-    assert site.lhs == pytest.approx(4.0)
-    assert site.rhs == pytest.approx(
+    i = reps.site.tolist().index(["a", 0.0, "b", 1.0])
+    assert reps.lhs[i] == pytest.approx(4.0)
+    assert reps.rhs[i] == pytest.approx(
         (2.5 - 1.5 * math.exp(-2)) * math.exp(6), rel=1e-9)
     assert all_pass(reps)
 
@@ -322,8 +320,7 @@ def test_volume_growth_trivial_at_t1():
     g = generate("grid", rows=4, cols=4, measure_mode="degree")
     reps = verify_volume_growth(g, [1.0])
     assert all_pass(reps)
-    for r in reps:
-        assert r.lhs <= r.rhs
+    assert np.all(reps.lhs <= reps.rhs)
 
 
 def test_volume_growth_sweep():
@@ -334,7 +331,7 @@ def test_volume_growth_sweep():
     for g in graphs:
         reps = verify_volume_growth(g, [1.0, 4.0, 9.0, 25.0])
         assert all_pass(reps)
-        assert all("degree_variant_holds" in r.extra for r in reps)
+        assert all("degree_variant_holds" in e for e in reps.extra)
 
 
 def test_volume_growth_hypothesis_gating():
@@ -359,27 +356,26 @@ def test_verifier_sites_and_values_follow_the_per_site_loop():
               if math.isfinite(g.distance_matrix()[g.index[x], g.index[y]])]
 
     lower = verify_kernel_lower(g, t, kernel=K)
-    assert [r.site for r in lower] == [[x, y, t] for x, y in finite]
-    for r, (x, y) in zip(lower, finite):
-        assert r.lhs == pytest.approx(heat_kernel_lower_bound(g, t, x, y),
-                                      rel=1e-15)
-        assert r.rhs == K.value(x, y)
+    assert lower.site.tolist() == [[x, y, t] for x, y in finite]
+    assert lower.lhs.tolist() == pytest.approx(
+        [heat_kernel_lower_bound(g, t, x, y) for x, y in finite], rel=1e-15)
+    assert lower.rhs.tolist() == [K.value(x, y) for x, y in finite]
 
     upper = verify_kernel_upper(g, t, kernel=K)
-    assert [r.site for r in upper] == [[x, y, t] for x in g.ids for y in g.ids]
-    assert [(r.lhs, r.rhs) for r in upper] == [
+    assert upper.site.tolist() == [[x, y, t] for x in g.ids for y in g.ids]
+    assert list(zip(upper.lhs.tolist(), upper.rhs.tolist())) == [
         (K.value(x, y), heat_kernel_upper_bound(g, t, x)) for x in g.ids
         for y in g.ids]
 
     diag = verify_diagonal_lower(g, t, kernel=K)
-    assert [(r.site, r.lhs, r.rhs) for r in diag] == [
+    assert list(zip(diag.site, diag.lhs.tolist(), diag.rhs.tolist())) == [
         ([y, t], math.exp(-t) / g.degree(y), K.value(y, y)) for y in g.ids]
 
     volume = verify_volume_growth(g, [t, 4.0])
-    assert [(r.site, r.lhs) for r in volume] == [
+    assert list(zip(volume.site, volume.lhs.tolist())) == [
         ([y, s], g.ball_volume(y, math.sqrt(s))) for s in (t, 4.0)
         for y in g.ids]
-    assert [r.rhs for r in volume] == pytest.approx(
+    assert volume.rhs.tolist() == pytest.approx(
         [volume_growth_bound(g, y, s) for s in (t, 4.0) for y in g.ids],
         rel=1e-15)
 
@@ -390,12 +386,12 @@ def test_verify_harnack_keeps_given_pair_order_and_drops_unreachable():
     pairs = [("c", "a"), ("a", "d"), ("e", "d"), ("b", "b"), ("d", "c")]
     reps = verify_harnack(g, u0, [1.0, 0.2], pairs=pairs)
     kept = [("c", "a"), ("e", "d"), ("b", "b")]
-    assert [r.site for r in reps] == [[x, 0.2, y, 1.0] for x, y in kept]
+    assert reps.site.tolist() == [[x, 0.2, y, 1.0] for x, y in kept]
     u1, u2 = evolve(g, u0, 0.2, tol=1e-12), evolve(g, u0, 1.0, tol=1e-12)
-    for r, (x, y) in zip(reps, kept):
-        assert r.lhs == u1[g.index[x]]
-        assert r.rhs == pytest.approx(
-            u2[g.index[y]] * harnack_factor(g, x, y, 0.2, 1.0), rel=1e-15)
+    assert reps.lhs.tolist() == [u1[g.index[x]] for x, y in kept]
+    assert reps.rhs.tolist() == pytest.approx(
+        [u2[g.index[y]] * harnack_factor(g, x, y, 0.2, 1.0) for x, y in kept],
+        rel=1e-15)
     assert all_pass(reps)
 
 
@@ -436,6 +432,10 @@ REJECTED = {
     "min-form-nan-time": lambda g: min_form_bound(1, 2, 1, 0.5, math.nan, 2, 2),
     "min-form-nan-k": lambda g: min_form_bound(1, 2, math.nan, 0.5, 1, 2, 2),
     "min-form-nan-r": lambda g: min_form_bound(1, 2, 1, 0.5, 1, math.nan, 2),
+    "min-form-nan-n": lambda g: min_form_bound(1, math.nan, 1, 0.5, 1, 2, 2),
+    "min-form-nan-d-w": lambda g: min_form_bound(1, 2, 1, 0.5, 1, 2, math.nan),
+    "min-form-nan-d-mu": lambda g: min_form_bound(math.nan, 2, 1, 0.5, 1, 2, 2),
+    "min-form-negative-d-mu": lambda g: min_form_bound(-1, 2, 1, 0.5, 1, 2, 2),
     "gradient-nan-value": lambda g: gradient_estimate(g, _with(math.nan)),
     "gradient-inf-value": lambda g: gradient_estimate(g, _with(math.inf)),
     "prior-nan-value": lambda g: prior_gradient_estimate(g, _with(math.nan)),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import k2, log_uniform, random_graph
-from graphheat import (WeightedGraph, compose, dense_oracle, evolve,
-                       evolve_many, generate, heat_kernel, verify_harnack)
+from graphheat import (WeightedGraph, compose, dense_oracle, evolve, generate,
+                       heat_kernel, verify_harnack)
 from graphheat.semigroup import DENSE_ORACLE_CAP
 
 
@@ -145,10 +145,11 @@ def test_evolve_mass_conservation_and_positivity():
 
 
 def test_evolve_many_matches_evolve():
+    # evolve on an (n, m) matrix, one initial function per column
     rng = np.random.default_rng(6)
     g = random_graph(rng)
     U0 = log_uniform(rng, g.n * 3).reshape(g.n, 3)
-    U = evolve_many(g, U0, 1.5)
+    U = evolve(g, U0, 1.5)
     for j in range(3):
         np.testing.assert_allclose(U[:, j], evolve(g, U0[:, j], 1.5),
                                    rtol=0, atol=1e-12 * U0.max())
