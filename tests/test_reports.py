@@ -18,6 +18,13 @@ def test_passed_exactly_at_tolerance_boundary():
     assert site_reports("c", [0], -1.5, -2.0, abs_tol=0.0, rel_tol=0.25).passed[0]
 
 
+def test_bound_report_has_slots():
+    r = site_reports("c", [0], 0.0, 1.0)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(AttributeError):
+        r.note = "x"
+
+
 def test_summarize_counts_and_min_slack_per_check():
     reports = [site_reports("a", [0, 1, 2], [0.0, 3.0, 0.5], [2.0, 1.0, 1.0]),
                site_reports("b", [0], 1.0, 1.0)]
