@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import zlib
 from statistics import NormalDist
@@ -139,21 +140,26 @@ def cmd_verify(args) -> int:
     except (estimates.HypothesisError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    created = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         open(args.out, "a").close()  # an unwritable --out fails before any work
-    # one Reports per verifier call; the whole run is never concatenated
-    records = [r for suite in names if suite not in skipped for r in _run_suite(
-        g, suite, args.times, args.seed, args.tol, args.n_funcs)]
-
-    config = {"graph": args.graph, "suites": names, "skipped": skipped,
-              "times": list(args.times), "seed": args.seed, "tol": args.tol,
-              "n_funcs": args.n_funcs}
-    summary = reports.summarize(records)
-    if args.out:
-        if args.format == "json":
-            reports.write_jsonl(args.out, records, config, summary)
-        else:
-            reports.write_csv(args.out, records)
+    try:
+        # one Reports per verifier call; the whole run is never concatenated
+        records = [r for suite in names if suite not in skipped for r in _run_suite(
+            g, suite, args.times, args.seed, args.tol, args.n_funcs)]
+        config = {"graph": args.graph, "suites": names, "skipped": skipped,
+                  "times": list(args.times), "seed": args.seed, "tol": args.tol,
+                  "n_funcs": args.n_funcs}
+        summary = reports.summarize(records)
+        if args.out:
+            if args.format == "json":
+                reports.write_jsonl(args.out, records, config, summary)
+            else:
+                reports.write_csv(args.out, records)
+    except BaseException:
+        if created:  # a crashed run leaves --out as it found it
+            os.remove(args.out)
+        raise
     ok = True
     for check, s in sorted(summary.items()):
         status = "pass" if s["n_pass"] == s["n"] else "FAIL"

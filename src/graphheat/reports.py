@@ -77,7 +77,7 @@ def all_pass(reports) -> bool:
 
 def summarize(reports) -> dict:
     """Pass counts and minimum slack grouped by check name, in the order the
-    checks first appear."""
+    checks first appear; a NaN slack makes its check's minimum NaN."""
     summary = {}
     for r in _records(reports):
         slack, passed = r.slack, r.passed
@@ -87,28 +87,65 @@ def summarize(reports) -> dict:
             s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": low})
             s["n"] += int(np.count_nonzero(rows))
             s["n_pass"] += int(np.count_nonzero(passed & rows))
-            s["min_slack"] = min(s["min_slack"], low)
+            s["min_slack"] = float(np.minimum(s["min_slack"], low))
     return summary
 
 
-def _rows(reports):
-    # each row's values in FIELDS order, then its extra
+CHUNK_ROWS = 1024  # rows joined per write, to bound the text in memory
+# a report line as json.dumps writes it, up to the line end that fills the last %s
+_ROW = "{" + ", ".join(f"{json.dumps(f)}: %s" for f in FIELDS) + "%s"
+_SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json does
+
+
+def _chunks(reports, floats=lambda col: col):
+    # each record's columns in FIELDS order, then extra, CHUNK_ROWS rows at a
+    # time; floats maps each float column once per record
     for r in _records(reports):
-        yield from zip(r.check.tolist(), r.site.tolist(), r.lhs.tolist(),
-                       r.rhs.tolist(), r.slack.tolist(), r.passed.tolist(),
-                       r.abs_tol.tolist(), r.rel_tol.tolist(), r.extra.tolist())
+        cols = [floats(c) if c.dtype == float else c for c in (r.check, r.site,
+                r.lhs, r.rhs, r.slack, r.passed, r.abs_tol, r.rel_tol, r.extra)]
+        for i in range(0, len(r), CHUNK_ROWS):
+            yield [c[i:i + CHUNK_ROWS] for c in cols]
+
+
+def _float_texts(col) -> np.ndarray:
+    # formatted once per distinct bit pattern, so 0.0 and -0.0 stay apart
+    bits, inverse = np.unique(np.asarray(col, float).view(np.int64), return_inverse=True)
+    texts = [_SPELLED.get(t, t) for t in map(float.__repr__, bits.view(float).tolist())]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _json_texts(values) -> list:
+    # json.dumps of each value, memoized for str only: 0.0 == -0.0, 1 == 1.0 == True
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map({v: json.dumps(v) for v in set(values)}.__getitem__, values))
+    if kinds == {float}:
+        return _float_texts(values).tolist()
+    return list(map(json.dumps, values))
+
+
+def _site_texts(sites):
+    # json.dumps of each site; sites that are all lists of one length are
+    # composed from the texts at each position
+    if set(map(type, sites)) == {list} and len(set(map(len, sites))) == 1 and sites[0]:
+        return map(("[" + ", ".join(["%s"] * len(sites[0])) + "]").__mod__,
+                   zip(*(_json_texts(c) for c in zip(*sites))))
+    return _json_texts(sites)
 
 
 def write_jsonl(path, reports, config, summary) -> None:
     """Write a config line, one report row per line and a summary footer
-    (the result of summarize(reports)). Every line is standalone JSON."""
+    (the result of summarize(reports)). Every line is standalone JSON, and
+    the bytes are those of one json.dumps per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config}) + "\n")
-        for *row, extra in _rows(reports):
-            obj = dict(zip(FIELDS, row))
-            if extra:
-                obj["extra"] = extra
-            fh.write(json.dumps(obj) + "\n")
+        for check, site, lhs, rhs, slack, passed, *tols, extra in _chunks(
+                reports, _float_texts):
+            fh.write("".join(map(_ROW.__mod__, zip(
+                _json_texts(check.tolist()), _site_texts(site.tolist()),
+                lhs, rhs, slack, map(("false", "true").__getitem__, passed.tolist()),
+                *tols, [f', "extra": {json.dumps(e)}}}\n' if e else "}\n"
+                        for e in extra.tolist()]))))
         fh.write(json.dumps({"summary": summary}) + "\n")
 
 
@@ -118,5 +155,6 @@ def write_csv(path, reports) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(FIELDS)
-        for check, site, *values, _ in _rows(reports):
-            w.writerow([check, json.dumps(site), *values])
+        for check, site, *values, _ in _chunks(reports):
+            w.writerows(zip(check.tolist(), _site_texts(site.tolist()),
+                            *(v.tolist() for v in values)))

@@ -272,6 +272,23 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_crashed_verify_leaves_out_as_it_found_it(tmp_path, monkeypatch):
+    # --out is opened before the suites run; a run that then dies used to
+    # leave an empty file behind
+    def crash(*args):
+        raise RuntimeError("suite crashed")
+    monkeypatch.setattr(cli, "_run_suite", crash)
+    argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json"]
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(RuntimeError):
+        run([*argv, "--out", out])
+    assert not out.exists()
+    out.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        run([*argv, "--out", out])
+    assert out.read_text() == "kept\n"
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is needed only by dense_oracle on asymmetric weights
     code = ("import sys, graphheat.cli; "

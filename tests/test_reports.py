@@ -1,11 +1,19 @@
 import csv
 import json
+import math
+import struct
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graphheat.reports import (FIELDS, Reports, all_pass, concat, site_reports,
-                               summarize, write_csv, write_jsonl)
+from graphheat import cli, reports as reports_module
+from graphheat.reports import (CHUNK_ROWS, FIELDS, Reports, all_pass, concat,
+                               site_reports, summarize, write_csv, write_jsonl)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_passed_exactly_at_tolerance_boundary():
@@ -36,6 +44,10 @@ def test_summarize_counts_and_min_slack_per_check():
     assert summarize(concat(reports)) == summarize(reports)
     assert summarize([]) == {}
     assert summarize(site_reports("a", [], [], [])) == {}
+    # a NaN slack makes the minimum NaN wherever its row falls
+    ok, bad = site_reports("c", [0], 0.0, 1.0), site_reports("c", [1], np.nan, 1.0)
+    for split in ([ok, bad], [bad, ok], concat([ok, bad]), concat([bad, ok])):
+        assert math.isnan(summarize(split)["c"]["min_slack"])
 
 
 def test_summarize_groups_interleaved_checks_in_first_seen_order():
@@ -121,3 +133,113 @@ def test_csv_header_is_json_key_order(tmp_path):
         ["a", '["x", 0.5]', "0.25", "1.0", "0.75", "True", "1e-10", "1e-09"],
         ["b", '"y"', "2.0", "1.0", "-1.0", "False", "0.0", "0.0"],
     ]
+
+
+# -- the writers against one json.dumps per row ------------------------------
+
+def _oracle_rows(records):
+    # each row's values in FIELDS order, then its extra
+    for r in records:
+        yield from zip(r.check.tolist(), r.site.tolist(), r.lhs.tolist(),
+                       r.rhs.tolist(), r.slack.tolist(), r.passed.tolist(),
+                       r.abs_tol.tolist(), r.rel_tol.tolist(), r.extra.tolist())
+
+
+def oracle_jsonl(path, records, config, summary):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"config": config}) + "\n")
+        for *row, extra in _oracle_rows(records):
+            obj = dict(zip(FIELDS, row)) | ({"extra": extra} if extra else {})
+            fh.write(json.dumps(obj) + "\n")
+        fh.write(json.dumps({"summary": summary}) + "\n")
+
+
+def oracle_csv(path, records):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(FIELDS)
+        for check, site, *values, _ in _oracle_rows(records):
+            w.writerow([check, json.dumps(site), *values])
+
+
+def _assert_writers_match_oracle(directory, records, config, summary):
+    write_jsonl(directory / "got.jsonl", records, config, summary)
+    oracle_jsonl(directory / "want.jsonl", records, config, summary)
+    write_csv(directory / "got.csv", records)
+    oracle_csv(directory / "want.csv", records)
+    for name in ("jsonl", "csv"):
+        got, want = (directory / f"{side}.{name}" for side in ("got", "want"))
+        assert got.read_bytes() == want.read_bytes(), name
+
+
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+FLOATS = st.sampled_from([math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf,
+                          0.0, -0.0, 5e-324, 1e16, 1e-5]) | st.floats()
+SPECIAL_CHARS = '"\\/\x00\x1f\x7f\n\té\u2028\U0001F600'  # escaped by json, or not ASCII
+TEXT = st.text(st.sampled_from(SPECIAL_CHARS) | st.characters(), max_size=5)
+MIXED = st.sampled_from([1, 1.0, True, 0.0, -0.0])
+ATOMS = TEXT | st.integers() | st.booleans() | FLOATS | MIXED
+EXTRAS = st.none() | st.just({}) | st.dictionaries(TEXT, ATOMS, max_size=2)
+
+
+@st.composite
+def records(draw, lengths):
+    """A Reports record whose sites are any values or lists, or lists of
+    one length whose positions each hold values of one kind."""
+    n = draw(lengths)
+    k = draw(st.none() | st.integers(0, 3))
+    if k is None:
+        sites = draw(st.lists(ATOMS | st.lists(ATOMS, max_size=3),
+                              min_size=n, max_size=n))
+    else:
+        kinds = [draw(st.sampled_from([TEXT, FLOATS, st.integers(), MIXED]))
+                 for _ in range(k)]
+        sites = [[draw(kind) for kind in kinds] for _ in range(n)]
+    check, lhs, rhs, abs_tol, rel_tol, extra = (
+        draw(st.lists(values, min_size=n, max_size=n)) for values in (
+            st.sampled_from(["a", "b"]) | TEXT, FLOATS, FLOATS, FLOATS, FLOATS, EXTRAS))
+    return Reports(np.array(check, dtype=object), np.fromiter(sites, dtype=object),
+                   *map(np.array, (lhs, rhs, abs_tol, rel_tol), [float] * 4),
+                   np.fromiter(extra, dtype=object))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_writers_match_one_json_dumps_per_row(tmp_path, data):
+    # chunk sizes drawn small, so records of 0, 1, chunk and chunk + 1 rows stay
+    # cheap; the next test uses the writers' own CHUNK_ROWS
+    chunk = data.draw(st.sampled_from([1, 2, 3, 5]))
+    recs = data.draw(st.lists(records(st.sampled_from([0, 1, chunk, chunk + 1])),
+                              max_size=3))
+    with mock.patch.object(reports_module, "CHUNK_ROWS", chunk), \
+            np.errstate(invalid="ignore", over="ignore"):  # inf - inf and the like
+        _assert_writers_match_oracle(tmp_path, recs, {"seed": 0},
+                                     {"c": {"n": 1, "min_slack": math.nan}})
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_writers_match_one_json_dumps_per_row_at_the_chunk_size(tmp_path, n):
+    rows = np.arange(n)
+    kinds = ["v\u00e9", 1, 1.0, True, -0.0]
+    mixed = site_reports("a", [kinds[i % 5] for i in range(n)],
+                         np.where(rows % 2, -0.0, rows * 0.1), 1.0,
+                         extras=[{"i": i} if i % 3 else None for i in range(n)])
+    lists = site_reports("b", ([f"v{i % 7}", (0.0, -0.0, i * 0.5)[i % 3], "w"]
+                               for i in range(n)), np.nan, rows / 3.0)
+    recs = [mixed, lists]
+    _assert_writers_match_oracle(tmp_path, recs, {}, summarize(recs))
+
+
+@pytest.mark.parametrize("graph", sorted((ROOT / "example_graphs").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_verify_reports_match_one_json_dumps_per_row(tmp_path, monkeypatch, graph):
+    seen = []
+
+    def keep(path, records, config, summary):
+        seen.append((records, config, summary))
+    monkeypatch.setattr(reports_module, "write_jsonl", keep)
+    assert cli.main(["verify", "--graph", str(graph), "--suite", "all",
+                     "--seed", "0", "--out", str(tmp_path / "r.jsonl")]) == 0
+    (records, config, summary), = seen
+    _assert_writers_match_oracle(tmp_path, records, config, summary)
