@@ -15,8 +15,8 @@ POSITIVITY_FLOOR = 1e-300
 
 
 def require_positive(g: WeightedGraph, u) -> np.ndarray:
-    """Validate that u is finite and strictly positive on g's vertices."""
-    u = as_vertex_function(g, u)
+    """Validate that u (a vertex function, or an (n, m) batch of columns) is finite and > 0."""
+    u = np.asarray(u, dtype=float) if np.ndim(u) == 2 else as_vertex_function(g, u)
     if not np.all((POSITIVITY_FLOOR <= u) & (u < np.inf)):
         raise ValueError(f"function must be finite and >= {POSITIVITY_FLOOR} everywhere")
     return u

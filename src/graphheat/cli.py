@@ -90,30 +90,42 @@ def _run_suite(g, suite, times, seed, tol, n_funcs):
     pos_times = [t for t in times if t > 0]
     if suite == "volume":
         return [estimates.verify_volume_growth(g, pos_times)]
-    out = []
     if suite == "kernel-bounds":
+        out = []
         for t in pos_times:
             kernel = semigroup.heat_kernel(g, t, tol=tol)
             out += [verify(g, t, kernel=kernel) for verify in (
                 estimates.verify_kernel_upper, estimates.verify_kernel_lower,
                 estimates.verify_diagonal_lower)]
         return out
-    for _ in range(n_funcs):  # the function-sampling suites
-        u = estimates.sample_positive_function(g, rng)
-        if suite == "gradient":
-            res = np.max(np.abs(sqrt_identity_residual(g, u)))
-            scale = max(1.0, float(np.max(np.abs(laplacian(g, u)))))
-            out += [estimates.gradient_estimate(g, u), reports.site_reports(
-                "sqrt_identity", ["max_residual"], res, 1e-12 * scale, 0.0, 0.0)]
-        elif suite == "heat-gradient":
-            out.append(estimates.heat_gradient_estimate(g, u, pos_times))
-        elif suite == "previous":
-            out.append(estimates.prior_gradient_estimate(g, u))
-        else:  # harnack
-            grid = pos_times if len(pos_times) >= 2 else (0.1, 1.0)
-            out.append(estimates.verify_harnack(g, u, grid,
-                                                seed=int(rng.integers(2**32))))
-    return out
+    # the function-sampling suites: one batch, one function per column
+    U = np.stack([estimates.sample_positive_function(g, rng)
+                  for _ in range(n_funcs)], axis=1)
+    if suite == "gradient":
+        res = [np.max(np.abs(sqrt_identity_residual(g, u))) for u in U.T]
+        budget = [1e-12 * max(1.0, float(np.max(np.abs(laplacian(g, u))))) for u in U.T]
+        return [estimates.gradient_estimate(g, U), reports.site_reports(
+            "sqrt_identity", ["max_residual"] * n_funcs, res, budget, 0.0, 0.0)]
+    if suite == "heat-gradient":
+        return [estimates.heat_gradient_estimate(g, U, pos_times)]
+    if suite == "previous":
+        return [estimates.prior_gradient_estimate(g, U)]
+    return [estimates.verify_harnack(g, U, pos_times,  # harnack
+                                     seed=int(rng.integers(2**32)))]
+
+
+def _unmet(g, suite, times):
+    """Why the suite cannot run on g at these times, or None."""
+    need = {"heat-gradient": 1, "harnack": 2, "kernel-bounds": 1, "volume": 1}.get(suite, 0)
+    if len({t for t in times if t > 0}) < need:
+        return f"suite {suite!r} needs {need} distinct positive time(s) in --t"
+    try:
+        if suite in ("kernel-bounds", "volume"):
+            estimates._require_symmetric(g, f"suite {suite!r}")
+            estimates._require_mu_deg(g, f"suite {suite!r}")
+    except estimates.HypothesisError as exc:
+        return str(exc)
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -126,18 +138,13 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"error: unknown suite(s) {bad}", file=sys.stderr)
         return 2
-    skipped = []
     try:
         g.constants()  # an edgeless graph has none
-        for suite in (s for s in names if s in ("kernel-bounds", "volume")):
-            try:
-                estimates._require_symmetric(g, f"suite {suite!r}")
-                estimates._require_mu_deg(g, f"suite {suite!r}")
-            except estimates.HypothesisError:
-                if not skip_gated:
-                    raise
-                skipped.append(suite)
-    except (estimates.HypothesisError, GraphFormatError) as exc:
+        # suite -> why it cannot run; only --suite all skips instead of failing
+        skipped = {s: why for s in names if (why := _unmet(g, s, args.times))}
+        if skipped and not skip_gated:
+            raise ValueError(next(iter(skipped.values())))
+    except ValueError as exc:  # GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     created = bool(args.out) and not os.path.exists(args.out)
@@ -147,7 +154,7 @@ def cmd_verify(args) -> int:
         # one Reports per verifier call; the whole run is never concatenated
         records = [r for suite in names if suite not in skipped for r in _run_suite(
             g, suite, args.times, args.seed, args.tol, args.n_funcs)]
-        config = {"graph": args.graph, "suites": names, "skipped": skipped,
+        config = {"graph": args.graph, "suites": names, "skipped": list(skipped),
                   "times": list(args.times), "seed": args.seed, "tol": args.tol,
                   "n_funcs": args.n_funcs}
         summary = reports.summarize(records)
@@ -166,8 +173,8 @@ def cmd_verify(args) -> int:
         print(f"{check}: {s['n_pass']}/{s['n']} {status} "
               f"(min slack {s['min_slack']:.3e})")
         ok = ok and s["n_pass"] == s["n"]
-    for suite in skipped:
-        print(f"{suite}: skipped (hypotheses not met)")
+    for suite, why in skipped.items():
+        print(f"{suite}: skipped ({why})")
     if not ok:
         r = next(r for r in records if not r.passed.all())
         i = int(np.argmin(r.passed))  # the first False

@@ -2,6 +2,9 @@
 and the heat-kernel and volume-growth bounds, each with a verifier returning
 one Reports row per site.
 
+The verifiers of a vertex function also take an (n, m) batch, one function
+per column as evolve takes it, and return its rows function by function.
+
 Everything here is an inequality that holds exactly in real arithmetic, so a
 failure beyond the floating-point tolerance budget indicates a bug, not a
 counterexample.
@@ -42,6 +45,11 @@ def _require_mu_deg(g: WeightedGraph, what: str) -> None:
 
 # -- gradient estimates ------------------------------------------------------
 
+def _columns(u: np.ndarray):
+    """The vertex functions of u: u itself, or each column of an (n, m) batch."""
+    return u.T if u.ndim == 2 else u[None]
+
+
 def gradient_lhs(g: WeightedGraph, u) -> np.ndarray:
     """Gamma(sqrt u)(x)/u(x) - (Lu)(x)/(2 u(x)) per vertex.
 
@@ -56,7 +64,9 @@ def gradient_estimate(g: WeightedGraph, u):
 
     Unconditional: passes for every positive u on every graph.
     """
-    return site_reports("gradient_estimate", g.ids, gradient_lhs(g, u),
+    cols = _columns(require_positive(g, u))
+    return site_reports("gradient_estimate", g.ids * len(cols),
+                        np.concatenate([gradient_lhs(g, c) for c in cols]),
                         g.constants().d_mu)
 
 
@@ -67,34 +77,36 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
     (Lu)/(2 sqrt u) (valid since d/dt u = Lu); each site also gets a
     cross-check report comparing it with a centered finite difference in t,
     to FD_REL relative accuracy with an absolute floor at the difference
-    quotient's own rounding noise.
+    quotient's own rounding noise. Rows go function, then time, then check.
     """
     u0 = require_positive(g, u0)
     d_mu = g.constants().d_mu
-    parts = []
+    states = []  # per time: the columns of u(t), and of u(t-h), u(t+h) if checked
     for t in map(check_time, times):
-        do_fd = t >= FD_STEP
-        if do_fd:
+        if t >= FD_STEP:
             # step t-h -> t -> t+h along one semigroup chain, so the series
             # rounding of the long evolution is common to all three states
             # and cancels in the difference quotient
             minus = evolve(g, u0, t - FD_STEP, tol=HEAT_SERIES_TOL)
             ut = evolve(g, minus, FD_STEP, tol=HEAT_SERIES_TOL)
             plus = evolve(g, ut, FD_STEP, tol=HEAT_SERIES_TOL)
+            states.append((t, _columns(ut), _columns(minus), _columns(plus)))
         else:
-            ut = evolve(g, u0, t, tol=HEAT_SERIES_TOL)
-        st = np.sqrt(ut)
-        dt_sqrt = laplacian(g, ut) / (2.0 * st)
-        lhs = gamma(g, st) / ut - dt_sqrt / st
-        parts.append(site_reports("heat_gradient_estimate",
-                                  ([x, t] for x in g.ids), lhs, d_mu))
-        if do_fd:
-            fd = (np.sqrt(plus) - np.sqrt(minus)) / (2.0 * FD_STEP)
-            floor = 1e-9 * float(np.max(st))
-            parts.append(site_reports("heat_gradient_fd",
-                                      ([x, t] for x in g.ids),
-                                      np.abs(fd - dt_sqrt),
-                                      FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0))
+            states.append((t, _columns(evolve(g, u0, t, tol=HEAT_SERIES_TOL)), None, None))
+    parts = []
+    for k in range(len(_columns(u0))):
+        for t, ut, minus, plus in states:
+            st = np.sqrt(ut[k])
+            dt_sqrt = laplacian(g, ut[k]) / (2.0 * st)
+            lhs = gamma(g, st) / ut[k] - dt_sqrt / st
+            parts.append(site_reports("heat_gradient_estimate",
+                                      ([x, t] for x in g.ids), lhs, d_mu))
+            if minus is not None:
+                fd = (np.sqrt(plus[k]) - np.sqrt(minus[k])) / (2.0 * FD_STEP)
+                floor = 1e-9 * float(np.max(st))  # of this function's own column
+                parts.append(site_reports(
+                    "heat_gradient_fd", ([x, t] for x in g.ids), np.abs(fd - dt_sqrt),
+                    FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0))
     return concat(parts)
 
 
@@ -106,17 +118,18 @@ def prior_gradient_estimate(g: WeightedGraph, u):
     gradient_estimate) has the smaller relative slack at the vertex; the two
     are independent, so a broad sweep finds winners in both directions.
     """
-    u = require_positive(g, u)
     c = g.constants()
-    lhs = np.sqrt(2.0 * gamma(g, u)) / u
-    rhs = (math.sqrt(c.d) * laplacian(g, u) / u
-           + math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu))
+    cols = _columns(require_positive(g, u))
+    lhs, rhs, cur_lhs = map(np.concatenate, zip(*(
+        (np.sqrt(2.0 * gamma(g, u)) / u, math.sqrt(c.d) * laplacian(g, u) / u,
+         gradient_lhs(g, u)) for u in cols)))
+    rhs = rhs + math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu)
     rel_prior = (rhs - lhs) / np.maximum(np.abs(rhs), 1e-300)
-    rel_cur = (c.d_mu - gradient_lhs(g, u)) / max(abs(c.d_mu), 1e-300)
+    rel_cur = (c.d_mu - cur_lhs) / max(abs(c.d_mu), 1e-300)
     extras = [{"tighter": "current" if cur < prior else "prior",
                "rel_slack_current": cur, "rel_slack_prior": prior}
               for cur, prior in zip(rel_cur.tolist(), rel_prior.tolist())]
-    return site_reports("prior_gradient_estimate", g.ids, lhs, rhs,
+    return site_reports("prior_gradient_estimate", g.ids * len(cols), lhs, rhs,
                         extras=extras)
 
 
@@ -213,7 +226,9 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
     """Check u(x, t1) <= u(y, t2) * harnack_factor over sampled sites.
 
     pairs defaults to all ordered vertex pairs when the graph has at most 30
-    vertices and a seeded uniform sample of HARNACK_MAX_PAIRS otherwise.
+    vertices. Otherwise each function in turn draws HARNACK_MAX_PAIRS uniform
+    pairs from one default_rng(seed), so the first function of a batch gets
+    the pairs a call with it alone gets. Unreachable pairs are dropped.
     """
     u0 = require_positive(g, u0)
     times = sorted(set(map(check_time, time_grid)))
@@ -221,53 +236,29 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
         raise ValueError("need at least two distinct times")
     c = g.constants()
     D = g.distance_matrix()
-    snapshots = {t: evolve(g, u0, t, tol=HARNACK_SERIES_TOL) for t in times}
+    snapshots = {t: _columns(evolve(g, u0, t, tol=HARNACK_SERIES_TOL))
+                 for t in times}
+    m = len(_columns(u0))
     if pairs is None and g.n <= 30:
-        I, J = np.divmod(np.arange(g.n * g.n), g.n)
+        blocks = [np.divmod(np.arange(g.n * g.n), g.n)] * m
+    elif pairs is None:  # (function, pair, end) in draw order
+        blocks = np.random.default_rng(seed).integers(
+            g.n, size=(m, HARNACK_MAX_PAIRS, 2)).transpose(0, 2, 1)
     else:
-        if pairs is None:
-            rng = np.random.default_rng(seed)
-            pairs = [(rng.integers(g.n), rng.integers(g.n))
-                     for _ in range(HARNACK_MAX_PAIRS)]
-        else:
-            pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
-        I, J = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    hops = D[I, J]
-    finite = np.isfinite(hops)
-    I, J, hops = I[finite], J[finite], hops[finite]
-    xs, ys = [g.ids[i] for i in I.tolist()], [g.ids[j] for j in J.tolist()]
-    return concat(
-        site_reports("harnack", ([x, t1, y, t2] for x, y in zip(xs, ys)),
-                     snapshots[t1][I],
-                     snapshots[t2][J] * _harnack_form(c, hops, t2 - t1))
-        for a, t1 in enumerate(times) for t2 in times[a + 1:])
-
-
-def harnack_sweep(g: WeightedGraph, u0s, time_grid):
-    """Vectorized all-pairs Harnack check over many initial functions.
-
-    u0s is (n, m), one positive initial condition per column. Returns
-    (n_checks, n_fail_at_rel_1e-9, max_ratio) where ratio is
-    u(x,t1) / (u(y,t2) * factor).
-    """
-    times = sorted(set(map(check_time, time_grid)))
-    c = g.constants()
-    D = g.distance_matrix()
-    if not np.all(np.isfinite(D)):
-        raise ValueError("harnack_sweep requires a connected graph")
-    U = {t: evolve(g, u0s, t, tol=HARNACK_SERIES_TOL) for t in times}
-    n_checks = 0
-    n_fail = 0
-    max_ratio = 0.0
-    for a, t1 in enumerate(times):
-        for t2 in times[a + 1:]:
-            F = _harnack_form(c, D, t2 - t1)
-            # ratio[x, y, k] = u(x, t1, k) / (F[x, y] * u(y, t2, k))
-            ratio = U[t1][:, None, :] / (F[:, :, None] * U[t2][None, :, :])
-            n_checks += ratio.size
-            n_fail += int(np.count_nonzero(ratio > 1.0 + DEFAULT_REL_TOL))
-            max_ratio = max(max_ratio, float(ratio.max()))
-    return n_checks, n_fail, max_ratio
+        pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
+        blocks = [np.array(pairs, dtype=np.intp).reshape(-1, 2).T] * m
+    reachable = [np.isfinite(D[I, J]) for I, J in blocks]
+    blocks = [(I[f], J[f]) for (I, J), f in zip(blocks, reachable)]
+    gaps = [(t1, t2) for a, t1 in enumerate(times) for t2 in times[a + 1:]]
+    # one site_reports call over all (function, time pair) blocks: a concat
+    # of per-block records would hold every column twice
+    return site_reports(
+        "harnack", ([g.ids[i], t1, g.ids[j], t2] for I, J in blocks for t1, t2 in gaps
+                    for i, j in zip(I.tolist(), J.tolist())),
+        np.concatenate([snapshots[t1][k][I] for k, (I, J) in enumerate(blocks)
+                        for t1, t2 in gaps]),
+        np.concatenate([snapshots[t2][k][J] * _harnack_form(c, D[I, J], t2 - t1)
+                        for k, (I, J) in enumerate(blocks) for t1, t2 in gaps]))
 
 
 # -- heat kernel bounds ---------------------------------------------------------

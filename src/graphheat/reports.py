@@ -79,10 +79,9 @@ def summarize(reports) -> dict:
     """Pass counts and minimum slack grouped by check name, in the order the
     checks first appear; a NaN slack makes its check's minimum NaN."""
     summary = {}
-    for r in _records(reports):
-        slack, passed = r.slack, r.passed
-        for check in dict.fromkeys(r.check):
-            rows = r.check == check
+    for checks, _, _, _, slack, passed, *_ in _chunks(reports):
+        for check in dict.fromkeys(checks):
+            rows = checks == check
             low = float(slack[rows].min())
             s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": low})
             s["n"] += int(np.count_nonzero(rows))
@@ -97,20 +96,20 @@ _ROW = "{" + ", ".join(f"{json.dumps(f)}: %s" for f in FIELDS) + "%s"
 _SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json does
 
 
-def _chunks(reports, floats=lambda col: col):
+def _chunks(reports):
     # each record's columns in FIELDS order, then extra, CHUNK_ROWS rows at a
-    # time; floats maps each float column once per record
+    # time; slack and pass per chunk, so a large record adds no large temporaries
     for r in _records(reports):
-        cols = [floats(c) if c.dtype == float else c for c in (r.check, r.site,
-                r.lhs, r.rhs, r.slack, r.passed, r.abs_tol, r.rel_tol, r.extra)]
         for i in range(0, len(r), CHUNK_ROWS):
-            yield [c[i:i + CHUNK_ROWS] for c in cols]
+            c = Reports(*(getattr(r, f.name)[i:i + CHUNK_ROWS] for f in fields(Reports)))
+            yield (c.check, c.site, c.lhs, c.rhs, c.slack, c.passed, c.abs_tol,
+                   c.rel_tol, c.extra)
 
 
-def _float_texts(col) -> np.ndarray:
-    # formatted once per distinct bit pattern, so 0.0 and -0.0 stay apart
+def _float_texts(col, spelled) -> np.ndarray:
+    # float.__repr__ once per bit pattern (0.0 and -0.0 apart), respelled by spelled
     bits, inverse = np.unique(np.asarray(col, float).view(np.int64), return_inverse=True)
-    texts = [_SPELLED.get(t, t) for t in map(float.__repr__, bits.view(float).tolist())]
+    texts = [spelled.get(t, t) for t in map(float.__repr__, bits.view(float).tolist())]
     return np.array(texts, dtype=object)[inverse]
 
 
@@ -120,7 +119,7 @@ def _json_texts(values) -> list:
     if kinds == {str}:
         return list(map({v: json.dumps(v) for v in set(values)}.__getitem__, values))
     if kinds == {float}:
-        return _float_texts(values).tolist()
+        return _float_texts(values, _SPELLED).tolist()
     return list(map(json.dumps, values))
 
 
@@ -139,8 +138,9 @@ def write_jsonl(path, reports, config, summary) -> None:
     the bytes are those of one json.dumps per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config}) + "\n")
-        for check, site, lhs, rhs, slack, passed, *tols, extra in _chunks(
-                reports, _float_texts):
+        for check, site, lhs, rhs, slack, passed, *tols, extra in _chunks(reports):
+            lhs, rhs, slack, *tols = (_float_texts(c, _SPELLED)
+                                      for c in (lhs, rhs, slack, *tols))
             fh.write("".join(map(_ROW.__mod__, zip(
                 _json_texts(check.tolist()), _site_texts(site.tolist()),
                 lhs, rhs, slack, map(("false", "true").__getitem__, passed.tolist()),
@@ -155,6 +155,7 @@ def write_csv(path, reports) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(FIELDS)
-        for check, site, *values, _ in _chunks(reports):
+        for check, site, lhs, rhs, slack, passed, *tols, _ in _chunks(reports):
             w.writerows(zip(check.tolist(), _site_texts(site.tolist()),
-                            *(v.tolist() for v in values)))
+                            *(_float_texts(c, {}) for c in (lhs, rhs, slack)),
+                            passed.tolist(), *(_float_texts(c, {}) for c in tols)))

@@ -178,31 +178,61 @@ def _two_vertex_graph(vertices=({"id": "a"}, {"id": "b"}), w=1.0,
             "edges": [{"u": "a", "v": "b", "w": w}]}
 
 
-# input -> (graph object, verify exit code, kernel exit code)
+_DEG_PAIR = _two_vertex_graph(measure_mode="degree")
+
+
+def _times(suite, t):
+    return ["--suite", suite, "--t", t]
+
+
+# input -> (graph object, verify flags, verify exit code, kernel exit code);
+# a suite that would check nothing at the given times used to exit 0 with no
+# rows, or (harnack) check times the config line never listed
 EXIT_CODES = {
-    "vertex-without-id": (_two_vertex_graph(vertices=({"id": "a"}, {})), 2, 2),
-    "non-numeric-weight": (_two_vertex_graph(w="x"), 2, 2),
-    "nan-weight": (_two_vertex_graph(w=math.nan), 2, 2),
-    "inf-weight": (_two_vertex_graph(w=math.inf), 2, 2),
+    "vertex-without-id": (_two_vertex_graph(vertices=({"id": "a"}, {})), [], 2, 2),
+    "non-numeric-weight": (_two_vertex_graph(w="x"), [], 2, 2),
+    "nan-weight": (_two_vertex_graph(w=math.nan), [], 2, 2),
+    "inf-weight": (_two_vertex_graph(w=math.inf), [], 2, 2),
     "nan-measure": (_two_vertex_graph(
         vertices=({"id": "a", "mu": math.nan}, {"id": "b", "mu": 1.0}),
-        measure_mode="explicit"), 2, 2),
+        measure_mode="explicit"), [], 2, 2),
     "edgeless": ({"weights_symmetric": True, "measure_mode": "unit",
-                  "vertices": [{"id": "a"}, {"id": "b"}], "edges": []}, 2, 0),
+                  "vertices": [{"id": "a"}, {"id": "b"}], "edges": []}, [], 2, 0),
+    "kernel-bounds-t-zero": (_DEG_PAIR, _times("kernel-bounds", "0"), 2, 0),
+    "heat-gradient-t-zero": (_DEG_PAIR, _times("heat-gradient", "0"), 2, 0),
+    "volume-t-zero": (_DEG_PAIR, _times("volume", "0"), 2, 0),
+    "harnack-one-positive-time": (_DEG_PAIR, _times("harnack", "0,0.5"), 2, 0),
+    "harnack-repeated-time": (_DEG_PAIR, _times("harnack", "1,1"), 2, 0),
+    "harnack-two-positive-times": (_DEG_PAIR, _times("harnack", "0,0.5,1"), 0, 0),
+    "all-t-zero": (_DEG_PAIR, _times("all", "0"), 0, 0),
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "kernel"])
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
 def test_exit_code_matrix(tmp_path, capsys, name, command):
-    obj, verify_code, kernel_code = EXIT_CODES[name]
+    obj, flags, verify_code, kernel_code = EXIT_CODES[name]
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps(obj))  # NaN and Infinity literals included
-    code = run([command, "--graph", graph, "--out", tmp_path / "out"])
+    out = tmp_path / "out"
+    code = run([command, "--graph", graph, *(flags if command == "verify" else []),
+                "--out", out])
     assert code == (verify_code if command == "verify" else kernel_code)
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_verify_all_skips_suites_without_positive_times(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(_DEG_PAIR))
+    out = tmp_path / "r.jsonl"
+    assert run(["verify", "--graph", graph, "--t", "0,0.5", "--out", out]) == 0
+    config = json.loads(out.read_text().splitlines()[0])["config"]
+    assert config["skipped"] == ["harnack"]
+    assert "harnack: skipped (suite 'harnack' needs 2 distinct positive " \
+        "time(s) in --t)" in capsys.readouterr().out
 
 
 # bad flag values -> argv after the command; each exits 2 with one line, where

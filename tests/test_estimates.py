@@ -14,7 +14,7 @@ from graphheat import (HypothesisError, UnreachableError, WeightedGraph,
                        prior_gradient_estimate, verify_diagonal_lower,
                        verify_harnack, verify_kernel_lower, verify_kernel_upper,
                        verify_volume_growth, volume_growth_bound)
-from graphheat.estimates import harnack_sweep
+from graphheat.reports import concat
 
 
 # -- gradient estimate -------------------------------------------------------
@@ -205,9 +205,63 @@ def test_harnack_sweep_random():
     for _ in range(5):
         g = random_graph(rng, n_max=15, connected=True)
         U0 = log_uniform(rng, g.n * 5).reshape(g.n, 5)
-        n_checks, n_fail, max_ratio = harnack_sweep(g, U0, [0.05, 0.5, 2.0])
-        assert n_fail == 0
-        assert max_ratio <= 1.0 + 1e-9
+        reps = verify_harnack(g, U0, [0.05, 0.5, 2.0])
+        assert len(reps) == 3 * 5 * g.n**2  # every ordered pair, connected
+        ratio = reps.lhs / reps.rhs
+        assert np.count_nonzero(ratio > 1.0 + 1e-9) == 0
+        assert ratio.max() <= 1.0 + 1e-9
+
+
+# -- batches: one function per column ---------------------------------------------
+
+def _batch_cases():
+    rng = np.random.default_rng(23)
+    for n_min, n_max in ((4, 12), (31, 40)):  # all pairs, then sampled pairs
+        for _ in range(3):
+            g = random_graph(rng, n_min=n_min, n_max=n_max, p=0.3)
+            yield g, log_uniform(rng, g.n * 4).reshape(g.n, 4), rng
+
+
+def _rows_agree(batch, single):
+    # same rows; values may round differently, within each row's budget
+    assert batch.check.tolist() == single.check.tolist()
+    assert batch.site.tolist() == single.site.tolist()
+    assert np.array_equal(batch.passed, single.passed)
+    checked = single.check != "heat_gradient_fd"  # its lhs is rounding noise
+    budget = single.abs_tol + single.rel_tol * np.abs(single.rhs)
+    for side in ("lhs", "rhs"):
+        a, b = getattr(batch, side)[checked], getattr(single, side)[checked]
+        assert np.all((a == b) | (np.abs(a - b) <= budget[checked]))
+
+
+def test_batch_equals_its_columns():
+    for g, U, rng in _batch_cases():
+        cols = list(U.T)
+        for verify in (gradient_estimate, prior_gradient_estimate):
+            batch, single = verify(g, U), concat(verify(g, u) for u in cols)
+            for name in ("check", "site", "extra"):
+                assert getattr(batch, name).tolist() == getattr(single, name).tolist()
+            for name in ("lhs", "rhs", "abs_tol", "rel_tol"):
+                assert getattr(batch, name).tobytes() == getattr(single, name).tobytes()
+        times = [0.0, 1e-7, 0.1, 1.0]
+        _rows_agree(heat_gradient_estimate(g, U, times),
+                    concat(heat_gradient_estimate(g, u, times) for u in cols))
+        ids = g.ids
+        pairs = [(ids[int(i)], ids[int(j)])
+                 for i, j in rng.integers(g.n, size=(50, 2))]
+        _rows_agree(verify_harnack(g, U, [0.2, 1.0, 3.0], pairs=pairs),
+                    concat(verify_harnack(g, u, [0.2, 1.0, 3.0], pairs=pairs)
+                           for u in cols))
+
+
+def test_batch_harnack_first_column_samples_like_a_single_call():
+    for g, U, _ in _batch_cases():
+        if g.n <= 30:
+            continue
+        batch = verify_harnack(g, U, [0.5, 1.0, 2.0], seed=11)
+        single = verify_harnack(g, U[:, 0], [0.5, 1.0, 2.0], seed=11)
+        assert batch.site[:len(single)].tolist() == single.site.tolist()
+        assert len(batch) > len(single)
 
 
 # -- kernel bounds and volume growth ---------------------------------------------
@@ -444,6 +498,13 @@ REJECTED = {
                                                   [0.1, 1.0]),
     "harnack-inf-value": lambda g: verify_harnack(g, _with(math.inf),
                                                   [0.1, 1.0]),
+    "gradient-batch-nan-value": lambda g: gradient_estimate(
+        g, np.stack([np.ones(9), _with(math.nan)], axis=1)),
+    "prior-batch-wrong-rows": lambda g: prior_gradient_estimate(g, np.ones((8, 3))),
+    "heat-gradient-batch-wrong-rows": lambda g: heat_gradient_estimate(
+        g, np.ones((10, 2)), [1.0]),
+    "harnack-batch-wrong-rows": lambda g: verify_harnack(g, np.ones((8, 2)),
+                                                         [0.1, 1.0]),
     "ball-nan-radius": lambda g: g.ball("v0", math.nan),
     "ball-volume-nan-radius": lambda g: g.ball_volume("v0", math.nan),
 }
