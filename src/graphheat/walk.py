@@ -9,8 +9,6 @@ series and spectral kernels on graphs of any size.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,47 +58,37 @@ class WalkEstimate:
 def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> WalkEstimate:
     """Run n_walks independent walks from x up to time t.
 
-    Each walk draws from its own counter-based stream (Philox keyed by seed,
-    jumped by the walk index), so results are deterministic per
-    (seed, walk-index) regardless of execution order.
+    All walks advance together and draw from one counter-based stream
+    (Philox keyed by seed): each step draws a holding time for every live
+    walk, then a jump uniform for every walk still short of t, in walk order.
+    The counts are a pure function of (graph, source, t, n_walks, seed); a
+    walk's path depends on n_walks, so the first k walks of a larger run are
+    not a run of k walks.
     """
     t = check_time(t)
     if n_walks < 1:
         raise ValueError("need at least one walk")
     src = g._resolve(x)
-    rates = [float(d / m) for d, m in zip(g.degrees, g.mu)]
-    neighbors = g.neighbors
-    cum_probs = []
-    for i, nbr in enumerate(neighbors):
-        if nbr:
-            c = np.cumsum(g.W[i, list(nbr)] / g.degrees[i])
-            c[-1] = 1.0
-            cum_probs.append(list(c))
-        else:
-            cum_probs.append([])
+    rates = g.degrees / g.mu
+    rows, cols = np.nonzero(g.W)
+    # row i's jump keys are 2i + the cumulative jump probabilities, its last
+    # key exactly 2i + 1, so 2 pos + u (0 <= u < 1) finds a key of row pos even
+    # where the sum rounds: the gap (2i - 1, 2i) separates the rows. The sums
+    # round to an ulp of 2i, which costs each jump about n * 2**-52 of
+    # probability.
+    keys = 2 * rows + np.cumsum(g.W, axis=1)[rows, cols] / g.degrees[rows]
+    last = np.diff(rows, append=g.n) > 0
+    keys[last] = 2 * rows[last] + 1.0
 
-    counts = np.zeros(g.n, dtype=np.int64)
-    base = np.random.Philox(key=seed)
-    # draw uniforms in blocks per walk; -log(u)/rate gives the holding times
-    block = max(8, int(2 * t * max(rates, default=0.0)) + 4)
-    for walk in range(n_walks):
-        rng = np.random.Generator(base.jumped(walk))
-        pos = src
-        clock = 0.0
-        done = rates[pos] == 0.0 or t == 0.0
-        while not done:
-            holds = rng.random(block)
-            jumps = rng.random(block)
-            for uh, uj in zip(holds, jumps):
-                clock += -math.log(1.0 - uh) / rates[pos]
-                if clock >= t:
-                    done = True
-                    break
-                cp = cum_probs[pos]
-                pos = neighbors[pos][bisect_left(cp, uj)]
-                if rates[pos] == 0.0:
-                    done = True
-                    break
-        counts[pos] += 1
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pos = np.full(n_walks, src)
+    clock = np.zeros(n_walks)
+    live = np.arange(n_walks if rates[src] > 0.0 else 0)
+    while live.size:
+        clock[live] += rng.standard_exponential(live.size) / rates[pos[live]]
+        live = live[clock[live] < t]
+        u = rng.random(live.size)
+        pos[live] = cols[np.searchsorted(keys, 2 * pos[live] + u)]
+        live = live[rates[pos[live]] > 0.0]  # a vertex without out-edges absorbs
+    counts = np.bincount(pos, minlength=g.n)
     return WalkEstimate(t, g.ids[src], counts, int(n_walks), int(seed), g)
-

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from graphheat import cli, load_graph
+from graphheat import cli, heat_kernel, load_graph, simulate
 from graphheat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,14 +156,36 @@ def test_kernel_with_monte_carlo(tmp_path):
 
 
 def test_kernel_monte_carlo_verdict_is_family_wise(tmp_path, capsys):
-    # at this seed one of the 81 cells falls outside its per-cell 3-sigma
+    # at this seed some of the 81 cells fall outside their per-cell 3-sigma
     # allowance while the series kernel is exact: a false alarm that a
     # verdict without multiple-comparison control reports as INCONSISTENT
-    code = run(["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json",
-                "--t", "1", "--mc", "1000", "--seed", "129",
-                "--out", tmp_path / "k.csv"])
+    graph, out = ROOT / "example_graphs" / "grid3x3.json", tmp_path / "k.csv"
+    code = run(["kernel", "--graph", graph, "--t", "1", "--mc", "1000",
+                "--seed", "947", "--out", out])
+    g = load_graph(graph)
+    kernel = heat_kernel(g, 1.0)
+    sub_seeds = {r["x"]: int(r["seed"]) for r in csv.DictReader(out.open())}
+    flagged = sum(
+        np.count_nonzero(~simulate(g, x, 1.0, 1000, seed=sub_seeds[x])
+                         .consistent_with(kernel.matrix[i], n_sigma=3))
+        for i, x in enumerate(g.ids))
+    assert flagged >= 1
     assert code == 0
     assert "consistent (family-wise alpha 0.001" in capsys.readouterr().err
+
+
+def test_kernel_monte_carlo_csv_is_reproducible(tmp_path):
+    # separate processes, so nothing in-process (hash seeds, caches) is shared
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    outs = []
+    for rerun in (1, 2):
+        out = tmp_path / f"k{rerun}.csv"
+        subprocess.run([sys.executable, "-m", "graphheat.cli", "kernel",
+                        "--graph", str(ROOT / "example_graphs" / "grid3x3.json"),
+                        "--t", "0.5,2", "--mc", "500", "--seed", "3",
+                        "--out", str(out)], check=True, env=env)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_shipped_example_graphs_verify():

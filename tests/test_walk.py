@@ -1,10 +1,12 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from conftest import k2
+from conftest import k2, random_graph
 from graphheat import WeightedGraph, generate, heat_kernel, simulate
+from graphheat.cli import MC_ALPHA
 
 
 def test_time_zero_all_walks_stay():
@@ -50,6 +52,46 @@ def test_k3_stationary_distribution():
     assert np.all(est.consistent_with(K.matrix[0]))
     # mu * p -> mu/Vol(G) = 1/3 per vertex in distribution
     np.testing.assert_allclose(est.counts / est.n_walks, 1 / 3, atol=0.01)
+
+
+def _bonferroni_z(cells):
+    # the per-cell sigma of cmd_kernel's family-wise verdict
+    return NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
+
+
+def test_stiff_path_matches_kernel():
+    # the middle vertex jumps 2000 times faster than the rest
+    ids = [f"v{i}" for i in range(50)]
+    mu = {v: 1.0 for v in ids}
+    mu["v25"] = 1e-3
+    g = WeightedGraph(ids, [(a, b, 1.0) for a, b in zip(ids, ids[1:])], mu=mu)
+    times = (1.0, 10.0)
+    z = _bonferroni_z(g.n * len(times))
+    for t in times:
+        est = simulate(g, "v25", t, 3000, seed=4)
+        assert np.all(est.consistent_with(heat_kernel(g, t).matrix[25], n_sigma=z))
+
+
+def test_weighted_jumps_match_kernel():
+    # unequal weights: jump probabilities and rates (deg, unit mu) vary by vertex
+    g = random_graph(np.random.default_rng(6), n_min=8, n_max=12, p=0.5,
+                     w_lo=0.2, w_hi=5.0, connected=True)
+    z = _bonferroni_z(g.n**2)
+    K = heat_kernel(g, 0.7)
+    for i, x in enumerate(g.ids):
+        est = simulate(g, x, 0.7, 2000, seed=i)
+        assert np.all(est.consistent_with(K.matrix[i], n_sigma=z))
+
+
+def test_one_way_edge_absorbs():
+    # a -> b only: b has no out-edge, so its rate is 0 and walks that reach it stay
+    g = WeightedGraph(["a", "b"], [("a", "b", 1.0)], measure_mode="unit",
+                      weights_symmetric=False)
+    n_walks, t = 20_000, 1.5
+    est = simulate(g, "a", t, n_walks, seed=11)
+    p = math.exp(-t)  # P[the Exp(1) holding time at a exceeds t]
+    assert abs(est.counts[0] - n_walks * p) <= 5 * math.sqrt(n_walks * p * (1 - p))
+    assert np.all(simulate(g, "b", t, 100, seed=11).counts == [0, 100])
 
 
 def test_rate_matches_measure():
