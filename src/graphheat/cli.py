@@ -178,7 +178,8 @@ def cmd_verify(args) -> int:
     if not ok:
         r = next(r for r in records if not r.passed.all())
         i = int(np.argmin(r.passed))  # the first False
-        print(f"first failure: {r.check[i]} at {r.site[i]}", file=sys.stderr)
+        print(f"first failure: {r.check[i]} at {r.site[i:i + 1].tolist()[0]}",
+              file=sys.stderr)
         return 1
     return 0
 

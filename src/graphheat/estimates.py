@@ -50,6 +50,11 @@ def _columns(u: np.ndarray):
     return u.T if u.ndim == 2 else u[None]
 
 
+def _sites(*positions):
+    """(rows, positions) object array of list sites; each time is one shared float."""
+    return np.column_stack(np.broadcast_arrays(*(np.asarray(p, object) for p in positions)))
+
+
 def gradient_lhs(g: WeightedGraph, u) -> np.ndarray:
     """Gamma(sqrt u)(x)/u(x) - (Lu)(x)/(2 u(x)) per vertex.
 
@@ -65,7 +70,7 @@ def gradient_estimate(g: WeightedGraph, u):
     Unconditional: passes for every positive u on every graph.
     """
     cols = _columns(require_positive(g, u))
-    return site_reports("gradient_estimate", g.ids * len(cols),
+    return site_reports("gradient_estimate", np.tile(g.ids, len(cols)),
                         np.concatenate([gradient_lhs(g, c) for c in cols]),
                         g.constants().d_mu)
 
@@ -99,13 +104,13 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
             st = np.sqrt(ut[k])
             dt_sqrt = laplacian(g, ut[k]) / (2.0 * st)
             lhs = gamma(g, st) / ut[k] - dt_sqrt / st
-            parts.append(site_reports("heat_gradient_estimate",
-                                      ([x, t] for x in g.ids), lhs, d_mu))
+            sites = _sites(g.ids, t)
+            parts.append(site_reports("heat_gradient_estimate", sites, lhs, d_mu))
             if minus is not None:
                 fd = (np.sqrt(plus[k]) - np.sqrt(minus[k])) / (2.0 * FD_STEP)
                 floor = 1e-9 * float(np.max(st))  # of this function's own column
                 parts.append(site_reports(
-                    "heat_gradient_fd", ([x, t] for x in g.ids), np.abs(fd - dt_sqrt),
+                    "heat_gradient_fd", sites, np.abs(fd - dt_sqrt),
                     FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0))
     return concat(parts)
 
@@ -129,7 +134,7 @@ def prior_gradient_estimate(g: WeightedGraph, u):
     extras = [{"tighter": "current" if cur < prior else "prior",
                "rel_slack_current": cur, "rel_slack_prior": prior}
               for cur, prior in zip(rel_cur.tolist(), rel_prior.tolist())]
-    return site_reports("prior_gradient_estimate", g.ids * len(cols), lhs, rhs,
+    return site_reports("prior_gradient_estimate", np.tile(g.ids, len(cols)), lhs, rhs,
                         extras=extras)
 
 
@@ -253,8 +258,8 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
     # one site_reports call over all (function, time pair) blocks: a concat
     # of per-block records would hold every column twice
     return site_reports(
-        "harnack", ([g.ids[i], t1, g.ids[j], t2] for I, J in blocks for t1, t2 in gaps
-                    for i, j in zip(I.tolist(), J.tolist())),
+        "harnack", np.concatenate([_sites(g.ids[I], t1, g.ids[J], t2)
+                                   for I, J in blocks for t1, t2 in gaps]),
         np.concatenate([snapshots[t1][k][I] for k, (I, J) in enumerate(blocks)
                         for t1, t2 in gaps]),
         np.concatenate([snapshots[t2][k][J] * _harnack_form(c, D[I, J], t2 - t1)
@@ -290,7 +295,7 @@ def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None):
         kernel = heat_kernel(g, t)
     bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids]
     return site_reports("kernel_upper",
-                        ([x, y, t] for x in g.ids for y in g.ids),
+                        _sites(np.repeat(g.ids, g.n), np.tile(g.ids, g.n), t),
                         kernel.matrix.ravel(), np.repeat(bound, g.n))
 
 
@@ -319,9 +324,7 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None):
     D = g.distance_matrix()
     bound = _kernel_lower_form(g.constants(), D, t, g.degrees)
     I, J = np.nonzero(np.isfinite(D))  # row-major order
-    return site_reports("kernel_lower",
-                        ([g.ids[i], g.ids[j], t]
-                         for i, j in zip(I.tolist(), J.tolist())),
+    return site_reports("kernel_lower", _sites(g.ids[I], g.ids[J], t),
                         bound[I, J], kernel.matrix[I, J])
 
 
@@ -331,7 +334,7 @@ def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None):
     t = check_time(t)
     if kernel is None:
         kernel = heat_kernel(g, t)
-    return site_reports("diagonal_lower", ([y, t] for y in g.ids),
+    return site_reports("diagonal_lower", _sites(g.ids, t),
                         math.exp(-t) / g.degrees, kernel.matrix.diagonal())
 
 
@@ -367,6 +370,6 @@ def verify_volume_growth(g: WeightedGraph, times):
         rhs = np.array([g.ball_volume(y, 1.0) for y in g.ids]) * factor
         strong = lhs <= g.degrees * factor * (1.0 + DEFAULT_REL_TOL) + DEFAULT_ABS_TOL
         parts.append(site_reports(
-            "volume_growth", ([y, t] for y in g.ids), lhs, rhs,
+            "volume_growth", _sites(g.ids, t), lhs, rhs,
             extras=[{"degree_variant_holds": s} for s in strong.tolist()]))
     return concat(parts)

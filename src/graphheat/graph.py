@@ -49,8 +49,8 @@ class GraphConstants:
 class WeightedGraph:
     """A finite graph with positive edge weights and a positive vertex measure.
 
-    Vertices are opaque string ids; internally they are mapped to contiguous
-    integer indices in insertion order. The weight matrix W has
+    Vertices are opaque string ids, in the read-only object array ids, mapped
+    to contiguous integer indices in insertion order. The weight matrix W has
     W[i, j] = w_ij when j is adjacent to i and 0 otherwise. Graphs are
     immutable after construction, so the derived data (constants, neighbour
     lists, hop distances) is computed once, on first use, and kept read-only.
@@ -71,7 +71,8 @@ class WeightedGraph:
             Vertex measure. Required for measure_mode="explicit"; ignored
             otherwise ("unit" sets mu=1, "degree" sets mu=deg).
         """
-        self.ids = [str(v) for v in vertex_ids]
+        self.ids = np.array([str(v) for v in vertex_ids], dtype=object)
+        self.ids.setflags(write=False)
         if len(set(self.ids)) != len(self.ids):
             raise GraphFormatError("duplicate vertex ids")
         self.index = {v: i for i, v in enumerate(self.ids)}

@@ -18,8 +18,8 @@ FIELDS = ("check", "site", "lhs", "rhs", "slack", "pass", "abs_tol", "rel_tol")
 class Reports:
     """Verified inequalities lhs <= rhs, one row per site, as equal-length
     columns: float arrays lhs, rhs, abs_tol, rel_tol and object arrays check,
-    site, extra (a dict or None). A row passes when
-    slack = rhs - lhs >= -(abs_tol + rel_tol * |rhs|).
+    extra (a dict or None) and site, 1-d or (rows, positions) for list sites.
+    A row passes when slack = rhs - lhs >= -(abs_tol + rel_tol * |rhs|).
     """
 
     check: np.ndarray
@@ -49,7 +49,7 @@ def site_reports(check, sites, lhs, rhs, abs_tol=DEFAULT_ABS_TOL,
     A scalar side or tolerance applies to every site; a side or extras list
     whose length differs from the number of sites raises ValueError.
     """
-    sites = np.fromiter(sites, dtype=object)
+    sites = np.asarray(sites, dtype=object)
     n = len(sites)
     extras = np.full(n, None) if extras is None else np.fromiter(extras, dtype=object)
     if len(extras) != n:
@@ -60,8 +60,8 @@ def site_reports(check, sites, lhs, rhs, abs_tol=DEFAULT_ABS_TOL,
 
 
 def concat(parts) -> Reports:
-    """The rows of several Reports, in order, as one."""
-    parts = [site_reports("", [], [], []), *parts]  # so concat([]) is empty
+    """The rows of several Reports of one site layout, in order, as one."""
+    parts = list(parts) or [site_reports("", [], [], [])]
     return Reports(*(np.concatenate([getattr(p, f.name) for p in parts])
                      for f in fields(Reports)))
 
@@ -124,12 +124,12 @@ def _json_texts(values) -> list:
 
 
 def _site_texts(sites):
-    # json.dumps of each site; sites that are all lists of one length are
-    # composed from the texts at each position
-    if set(map(type, sites)) == {list} and len(set(map(len, sites))) == 1 and sites[0]:
-        return map(("[" + ", ".join(["%s"] * len(sites[0])) + "]").__mod__,
-                   zip(*(_json_texts(c) for c in zip(*sites))))
-    return _json_texts(sites)
+    # json.dumps of each site; a (rows, positions) array of list sites is
+    # composed from the texts at each position, and (rows, 0) writes []
+    if sites.ndim == 2 and sites.shape[1]:
+        return map(("[" + ", ".join(["%s"] * sites.shape[1]) + "]").__mod__,
+                   zip(*map(_json_texts, sites.T.tolist())))
+    return _json_texts(sites.tolist())
 
 
 def write_jsonl(path, reports, config, summary) -> None:
@@ -142,7 +142,7 @@ def write_jsonl(path, reports, config, summary) -> None:
             lhs, rhs, slack, *tols = (_float_texts(c, _SPELLED)
                                       for c in (lhs, rhs, slack, *tols))
             fh.write("".join(map(_ROW.__mod__, zip(
-                _json_texts(check.tolist()), _site_texts(site.tolist()),
+                _json_texts(check.tolist()), _site_texts(site),
                 lhs, rhs, slack, map(("false", "true").__getitem__, passed.tolist()),
                 *tols, [f', "extra": {json.dumps(e)}}}\n' if e else "}\n"
                         for e in extra.tolist()]))))
@@ -156,6 +156,6 @@ def write_csv(path, reports) -> None:
         w = csv.writer(fh)
         w.writerow(FIELDS)
         for check, site, lhs, rhs, slack, passed, *tols, _ in _chunks(reports):
-            w.writerows(zip(check.tolist(), _site_texts(site.tolist()),
+            w.writerows(zip(check.tolist(), _site_texts(site),
                             *(_float_texts(c, {}) for c in (lhs, rhs, slack)),
                             passed.tolist(), *(_float_texts(c, {}) for c in tols)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphheat import cli, heat_kernel, load_graph, simulate
+from graphheat import cli, heat_kernel, load_graph, reports, simulate
 from graphheat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -340,6 +340,21 @@ def test_crashed_verify_leaves_out_as_it_found_it(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run([*argv, "--out", out])
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("sites, shown", [
+    ([["v0", "v1", 1.0], ["v0", "v3", 1.0]], "['v0', 'v3', 1.0]"),
+    (["v2", "v5"], "v5"),
+], ids=["list-site", "bare-site"])
+def test_verify_names_the_first_failure(capsys, monkeypatch, sites, shown):
+    # a list site prints as the Python list, not as numpy's text of its row
+    def one_failure(*args):
+        return [reports.site_reports("kernel_lower", sites, [0.5, 2.0], 1.0)]
+    monkeypatch.setattr(cli, "_run_suite", one_failure)
+    code = run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                "--suite", "gradient"])
+    assert code == 1
+    assert capsys.readouterr().err == f"first failure: kernel_lower at {shown}\n"
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,8 +1,4 @@
-"""The narrative demos run to completion against this checkout.
-
-03_random_walk.py is left out: it takes several seconds, and test_walk.py and
-acceptance criterion 9 cover the walk.
-"""
+"""The narrative demos run to completion against this checkout."""
 
 import os
 import subprocess
@@ -15,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_gradient_estimate.py",
-                                  "02_heat_kernel_bounds.py"])
+                                  "02_heat_kernel_bounds.py",
+                                  "03_random_walk.py"])
 def test_demo_exits_0(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

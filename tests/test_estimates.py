@@ -422,11 +422,11 @@ def test_verifier_sites_and_values_follow_the_per_site_loop():
         for y in g.ids]
 
     diag = verify_diagonal_lower(g, t, kernel=K)
-    assert list(zip(diag.site, diag.lhs.tolist(), diag.rhs.tolist())) == [
+    assert list(zip(diag.site.tolist(), diag.lhs.tolist(), diag.rhs.tolist())) == [
         ([y, t], math.exp(-t) / g.degree(y), K.value(y, y)) for y in g.ids]
 
     volume = verify_volume_growth(g, [t, 4.0])
-    assert list(zip(volume.site, volume.lhs.tolist())) == [
+    assert list(zip(volume.site.tolist(), volume.lhs.tolist())) == [
         ([y, s], g.ball_volume(y, math.sqrt(s))) for s in (t, 4.0)
         for y in g.ids]
     assert volume.rhs.tolist() == pytest.approx(

@@ -184,7 +184,7 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "g.json"
     save_graph(path, g)
     h = load_graph(path)
-    assert h.ids == g.ids
+    assert h.ids.tolist() == g.ids.tolist()
     assert np.array_equal(h.W, g.W)
     assert np.array_equal(h.mu, g.mu)
     assert h.measure_mode == g.measure_mode

@@ -67,7 +67,7 @@ def test_derived_data_is_read_only(g):
 @given(graphs())
 def test_file_round_trip(g):
     h = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
-    assert h.ids == g.ids and h.weights_symmetric == g.weights_symmetric
+    assert h.ids.tolist() == g.ids.tolist() and h.weights_symmetric == g.weights_symmetric
     assert np.array_equal(h.W, g.W)
     assert np.array_equal(h.mu, g.mu)
 

@@ -117,10 +117,24 @@ def test_write_jsonl_layout(tmp_path):
     ]
     assert all(list(obj)[:len(FIELDS)] == list(FIELDS) for obj in lines[1:-1])
     assert lines[-1] == {"summary": summarize(reports)}
-    # one record holding the same rows writes the same bytes
-    one = tmp_path / "one.jsonl"
-    write_jsonl(one, concat(reports), config, summarize(reports))
-    assert one.read_bytes() == path.read_bytes()
+    # records of one site layout, and one record holding their rows, write the
+    # same bytes
+    for sites in ([["x", 0.5]], [["y", 1.5]]), (["x"], ["y"]):
+        same = [site_reports("a", sites[0], 0.25, 1.0),
+                site_reports("b", sites[1], 2.0, 1.0, extras=[{"note": True}])]
+        two, one = tmp_path / "two.jsonl", tmp_path / "one.jsonl"
+        write_jsonl(two, same, config, summarize(same))
+        write_jsonl(one, concat(same), config, summarize(same))
+        assert one.read_bytes() == two.read_bytes()
+
+
+def test_concat_rejects_records_of_different_site_layouts():
+    listed, bare = _sample()
+    assert listed.site.shape == (1, 2) and bare.site.shape == (1,)
+    longer = site_reports("a", [["x", 0.5, "z"]], 0.25, 1.0)
+    for parts in ([listed, bare], [bare, listed], [listed, longer]):
+        with pytest.raises(ValueError, match="dimension"):
+            concat(parts)
 
 
 def test_csv_header_is_json_key_order(tmp_path):
@@ -184,21 +198,23 @@ EXTRAS = st.none() | st.just({}) | st.dictionaries(TEXT, ATOMS, max_size=2)
 
 @st.composite
 def records(draw, lengths):
-    """A Reports record whose sites are any values or lists, or lists of
-    one length whose positions each hold values of one kind."""
+    """A Reports record whose sites are a 1-d array of any values or lists,
+    or a (rows, positions) array whose positions each hold values of one
+    kind."""
     n = draw(lengths)
     k = draw(st.none() | st.integers(0, 3))
     if k is None:
-        sites = draw(st.lists(ATOMS | st.lists(ATOMS, max_size=3),
-                              min_size=n, max_size=n))
+        sites = np.fromiter(draw(st.lists(ATOMS | st.lists(ATOMS, max_size=3),
+                                          min_size=n, max_size=n)), dtype=object)
     else:
         kinds = [draw(st.sampled_from([TEXT, FLOATS, st.integers(), MIXED]))
                  for _ in range(k)]
-        sites = [[draw(kind) for kind in kinds] for _ in range(n)]
+        sites = np.array([[draw(kind) for kind in kinds] for _ in range(n)],
+                         dtype=object).reshape(n, k)
     check, lhs, rhs, abs_tol, rel_tol, extra = (
         draw(st.lists(values, min_size=n, max_size=n)) for values in (
             st.sampled_from(["a", "b"]) | TEXT, FLOATS, FLOATS, FLOATS, FLOATS, EXTRAS))
-    return Reports(np.array(check, dtype=object), np.fromiter(sites, dtype=object),
+    return Reports(np.array(check, dtype=object), sites,
                    *map(np.array, (lhs, rhs, abs_tol, rel_tol), [float] * 4),
                    np.fromiter(extra, dtype=object))
 
@@ -225,9 +241,11 @@ def test_writers_match_one_json_dumps_per_row_at_the_chunk_size(tmp_path, n):
     mixed = site_reports("a", [kinds[i % 5] for i in range(n)],
                          np.where(rows % 2, -0.0, rows * 0.1), 1.0,
                          extras=[{"i": i} if i % 3 else None for i in range(n)])
-    lists = site_reports("b", ([f"v{i % 7}", (0.0, -0.0, i * 0.5)[i % 3], "w"]
-                               for i in range(n)), np.nan, rows / 3.0)
-    recs = [mixed, lists]
+    lists = site_reports("b", [[f"v{i % 7}", (0.0, -0.0, i * 0.5)[i % 3], "w"]
+                               for i in range(n)], np.nan, rows / 3.0)
+    empty = site_reports("c", [[] for _ in range(n)], rows * 0.5, 1.0)
+    assert lists.site.shape == (n, 3) and empty.site.shape == (n, 0)
+    recs = [mixed, lists, empty]
     _assert_writers_match_oracle(tmp_path, recs, {}, summarize(recs))
 
 
