@@ -99,7 +99,8 @@ class WeightedGraph:
                 W[j, i] = w
         self.W = W
         self.W.setflags(write=False)
-        self.degrees = W.sum(axis=1)
+        with np.errstate(over="ignore"):  # an infinite degree is rejected below
+            self.degrees = W.sum(axis=1)
         self.degrees.setflags(write=False)
 
         if measure_mode == "unit":
@@ -122,6 +123,9 @@ class WeightedGraph:
                     raise GraphFormatError("mu must have one value per vertex")
         if not np.all((0 < mu_arr) & (mu_arr < np.inf)):
             raise GraphFormatError("vertex measure must be positive and finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.degrees / mu_arr)):
+                raise GraphFormatError("a rate deg(x)/mu(x) overflows to inf")
         self.mu = mu_arr
         self.mu.setflags(write=False)
 
@@ -157,18 +161,16 @@ class WeightedGraph:
 
     @cached_property
     def _constants(self) -> GraphConstants:
-        mask = self.W > 0
-        if not mask.any():
+        rows, cols = np.nonzero(self.W)
+        if not rows.size:
             raise GraphFormatError("constants undefined on an edgeless graph")
-        w_adj = self.W[mask]
-        mu_rows = np.broadcast_to(self.mu[:, None], self.W.shape)[mask]
-        deg_rows = np.broadcast_to(self.degrees[:, None], self.W.shape)[mask]
+        w_adj = self.W[rows, cols]
         return GraphConstants(
             d_mu=float(np.max(self.degrees / self.mu)),
             mu_max=float(np.max(self.mu)),
             w_min=float(np.min(w_adj)),
-            d=float(np.max(mu_rows / w_adj)),
-            d_w=float(np.max(deg_rows / w_adj)),
+            d=float(np.max(self.mu[rows] / w_adj)),
+            d_w=float(np.max(self.degrees[rows] / w_adj)),
         )
 
     @cached_property
@@ -199,6 +201,20 @@ class WeightedGraph:
                 frontier = nxt
         D.setflags(write=False)
         return D
+
+    @cached_property
+    def _jumps(self) -> tuple:
+        # the walk's rates deg/mu; per adjacent pair (i, j), row-major, j and a key
+        # 2i + the cumulative jump probability, exactly 2i + 1 at a row's end, so
+        # 2i + u (0 <= u < 1) finds row i: the gap (2i - 1, 2i) absorbs rounding
+        rates = self.degrees / self.mu
+        rows, cols = np.nonzero(self.W)
+        keys = 2 * rows + np.cumsum(self.W, axis=1)[rows, cols] / self.degrees[rows]
+        last = np.diff(rows, append=self.n) > 0
+        keys[last] = 2 * rows[last] + 1.0
+        for a in (rates, cols, keys):
+            a.setflags(write=False)
+        return rates, cols, keys
 
     def dist(self, x, y) -> int:
         """Hop-count distance (minimum number of edges on a path x -> y)."""

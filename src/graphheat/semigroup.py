@@ -2,14 +2,17 @@
 
 The kernel p(t, x, y) is the fundamental solution of d/dt u = Lu paired with
 the vertex measure, u(t, x) = sum_y mu(y) p(t, x, y) u0(y). It is computed by
-uniformization: with lam >= max_x deg(x)/mu(x), Q = I + L/lam is entrywise
+uniformization: with lam = max_x deg(x)/mu(x), Q = I + L/lam is entrywise
 nonnegative with unit row sums and
 
     exp(tL) = exp(-lam t) * sum_k (lam t)^k / k! * Q^k,
 
-truncated once the Poisson(lam t) tail drops below the requested tolerance.
-When mu = deg and lam = 1 this is exactly the lazy-walk series p_k/deg. A
-dense spectral oracle provides an independent second route.
+truncated once the Poisson(lam t) tail drops below tol; with mu = deg and
+lam = 1 it is the lazy-walk series p_k/deg. For large lam t the series sums
+E ~ exp((t/2^s)L) to tol/2^s, s = ceil(log2(lam t)), and E is squared s
+times. Terms stay nonnegative; truncation stays <= tol in max norm (E and
+exp((t/2^s)L) have row sums <= 1); rounding grows like 2^s n u, u = 2**-53.
+A dense spectral oracle provides an independent second route.
 """
 
 from __future__ import annotations
@@ -57,24 +60,9 @@ def generator(g: WeightedGraph) -> np.ndarray:
     return L
 
 
-def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarray) -> np.ndarray:
-    """exp(tL) @ operand via the truncated Poisson series.
-
-    Coefficients are evaluated in log space, so large lam*t neither overflows
-    t^k/k! nor underflows the whole series.
-    """
-    t = check_time(t)
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    rates = g.degrees / g.mu
-    lam = float(rates.max(initial=0.0))
-    lt = lam * t
-    if lt == 0:  # t = 0, no edges, or lam * t underflowing: exp(tL) = I
-        return operand.astype(float).copy()
-    L = generator(g)
-    Q = np.eye(g.n) + L / lam
+def _series(Q: np.ndarray, lt: float, tol: float, operand: np.ndarray) -> np.ndarray:
+    """sum_k e^{-lt} lt^k/k! Q^k @ operand to a Poisson tail <= tol, weights in log space."""
     log_lt = math.log(lt)
-
     cur = operand.astype(float).copy()
     log_coef = -lt  # log of e^{-lt} (lt)^k / k! at k = 0
     acc = math.exp(log_coef) * cur
@@ -95,6 +83,27 @@ def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarr
     return acc
 
 
+def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarray) -> np.ndarray:
+    """exp(tL) @ operand by the series, or by scaling and squaring where cheaper."""
+    t = check_time(t)
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    lam = float((g.degrees / g.mu).max(initial=0.0))
+    lt = lam * t
+    if lt == 0:  # t = 0, no edges, or lam * t underflowing: exp(tL) = I
+        return operand.astype(float).copy()
+    Q = np.eye(g.n) + generator(g) / lam
+    s = math.ceil(math.log2(lam) + math.log2(t)) if lt > 1 else 0  # lt may overflow
+    step = lam * math.ldexp(t, -s)  # about (1/2, 1] when s > 0
+    terms = [x + 12.0 * math.sqrt(x) + 30.0 for x in (lt, step)]  # series lengths
+    if s > 0 and terms[0] * operand.size > (terms[1] + s) * g.n**2 + operand.size:
+        E = _series(Q, step, math.ldexp(tol, -s), np.eye(g.n))
+        for _ in range(s):
+            E = E @ E
+        return E @ operand
+    return _series(Q, lt, tol, operand)
+
+
 def heat_kernel(g: WeightedGraph, t: float, tol: float = DEFAULT_TOL) -> HeatKernel:
     """Heat kernel at time t with series truncation error <= tol in max norm."""
     E = _uniformized_apply(g, t, tol, np.eye(g.n))
@@ -105,7 +114,7 @@ def evolve(g: WeightedGraph, u0, t: float, tol: float = DEFAULT_TOL) -> np.ndarr
     """Solve the heat equation: u(t) = sum_y mu(y) p(t, ., y) u0(y).
 
     u0 is a vertex function, or an (n, m) array with one initial function
-    per column. Applies the series to it directly, never forming the kernel.
+    per column. Forms the kernel only where squaring it is the cheaper route.
     """
     u0 = np.asarray(u0, dtype=float) if np.ndim(u0) == 2 else as_vertex_function(g, u0)
     if len(u0) != g.n:

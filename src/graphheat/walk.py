@@ -69,17 +69,7 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
     if n_walks < 1:
         raise ValueError("need at least one walk")
     src = g._resolve(x)
-    rates = g.degrees / g.mu
-    rows, cols = np.nonzero(g.W)
-    # row i's jump keys are 2i + the cumulative jump probabilities, its last
-    # key exactly 2i + 1, so 2 pos + u (0 <= u < 1) finds a key of row pos even
-    # where the sum rounds: the gap (2i - 1, 2i) separates the rows. The sums
-    # round to an ulp of 2i, which costs each jump about n * 2**-52 of
-    # probability.
-    keys = 2 * rows + np.cumsum(g.W, axis=1)[rows, cols] / g.degrees[rows]
-    last = np.diff(rows, append=g.n) > 0
-    keys[last] = 2 * rows[last] + 1.0
-
+    rates, cols, keys = g._jumps
     rng = np.random.Generator(np.random.Philox(key=seed))
     pos = np.full(n_walks, src)
     clock = np.zeros(n_walks)

@@ -203,6 +203,17 @@ def _two_vertex_graph(vertices=({"id": "a"}, {"id": "b"}), w=1.0,
 
 _DEG_PAIR = _two_vertex_graph(measure_mode="degree")
 
+# deg/mu overflows to inf: at the 50-vertex path's vertex of measure 1e-310,
+# and where two weights of 1e308 meet; the series spun forever on either
+_OVERFLOWING_RATE = {
+    "weights_symmetric": True, "measure_mode": "explicit",
+    "vertices": [{"id": f"v{i}", "mu": 1e-310 if i == 25 else 1.0} for i in range(50)],
+    "edges": [{"u": f"v{i}", "v": f"v{i + 1}", "w": 1.0} for i in range(49)]}
+_OVERFLOWING_DEGREE = {
+    "weights_symmetric": True, "measure_mode": "unit",
+    "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+    "edges": [{"u": "a", "v": v, "w": 1e308} for v in "bc"]}
+
 
 def _times(suite, t):
     return ["--suite", suite, "--t", t]
@@ -228,9 +239,13 @@ EXIT_CODES = {
     "harnack-repeated-time": (_DEG_PAIR, _times("harnack", "1,1"), 2, 0),
     "harnack-two-positive-times": (_DEG_PAIR, _times("harnack", "0,0.5,1"), 0, 0),
     "all-t-zero": (_DEG_PAIR, _times("all", "0"), 0, 0),
+    "overflowing-rate": (_OVERFLOWING_RATE, _times("heat-gradient", "1"), 2, 2),
+    "overflowing-degree": (_OVERFLOWING_DEGREE, _times("heat-gradient", "1"), 2, 2),
 }
 
 
+# a warning would be one more stderr line in a real process
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["verify", "kernel"])
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
 def test_exit_code_matrix(tmp_path, capsys, name, command):

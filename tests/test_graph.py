@@ -165,7 +165,8 @@ def test_construction_invariants():
     ([("a", "b", math.nan)], None),
     ([("a", "b", math.inf)], None),
     ([("a", "b", 1.0)], {"a": math.nan, "b": 1.0}),
-], ids=["nan-weight", "inf-weight", "nan-measure"])
+    ([("a", "b", 1.0)], {"a": 1e-310, "b": 1.0}),  # deg/mu = inf hung the series
+], ids=["nan-weight", "inf-weight", "nan-measure", "overflowing-rate"])
 def test_non_finite_input_rejected(edges, mu):
     with pytest.raises(GraphFormatError):
         WeightedGraph(["a", "b"], edges, mu=mu,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import k2, log_uniform, random_graph
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve, generate,
-                       heat_kernel, verify_harnack)
+                       heat_kernel, semigroup, verify_harnack)
 from graphheat.semigroup import DENSE_ORACLE_CAP
 
 
@@ -207,3 +207,132 @@ def test_kernel_invariants_over_random_measures(g, t, split):
     s = split * t
     ks, kt = heat_kernel(g, s, tol=tol), heat_kernel(g, t - s, tol=tol)
     assert np.abs(compose(ks, kt) - K.matrix).max() <= 1e-8 * scale
+
+
+# -- bounded cost: scaling and squaring ------------------------------------------
+
+U = 2.0**-53  # unit roundoff
+
+
+def _lam_t_s(g, t):
+    """lam t and s = ceil(log2 lam t), s = 0 where lam t <= 1, so 2^s >= lam t."""
+    lt = float(np.max(g.degrees / g.mu, initial=0.0)) * t
+    return lt, (math.ceil(math.log2(lt)) if lt > 1 else 0)
+
+
+def _series_bound(g, t, tol):
+    """Max-norm error bound of the series E = exp(tL): tol + 2^s (3n + 43) u.
+
+    Truncation is <= tol on either path. Sums and products of nonnegative
+    terms round by a relative n u per product and u per addition. The small
+    step (lam t 2^-s <= 1, at most 43 terms) is off by (n + 43) u; each
+    squaring doubles the error and adds n u, so s of them reach
+    2^s (2n + 43) u, and the final product or row sum adds n u. The direct
+    series mixes Q^k with Poisson(lam t) weights, so its products cost
+    lam t n u <= 2^s n u and its additions one u per term, at most
+    lam t + 12 sqrt(lam t) + 30 <= 43 * 2^s of them.
+    """
+    _, s = _lam_t_s(g, t)
+    return tol + 2.0**s * (3 * g.n + 43) * U
+
+
+def _oracle_bound(g, t):
+    """Max-norm error bound of dense_oracle's E. eigh is backward stable, so
+    its exp(tS) of the symmetrized S is off by c n u (1 + ||tS||) in the
+    2-norm, ||tS|| <= 2 lam t, taking c = 4 for LAPACK's unstated constant;
+    undoing the similarity by sqrt(mu) costs at most sqrt(n mu_max/mu_min)."""
+    lt, _ = _lam_t_s(g, t)
+    return 4 * g.n * U * (1 + 2 * lt) * math.sqrt(g.n * g.mu.max() / g.mu.min())
+
+
+def _series_calls(monkeypatch):
+    """Record (lam t, operand is the identity) for every series run."""
+    calls = []
+    inner = semigroup._series
+
+    def spy(Q, lt, tol, operand):
+        calls.append((lt, np.array_equal(operand, np.eye(len(Q)))))
+        return inner(Q, lt, tol, operand)
+    monkeypatch.setattr(semigroup, "_series", spy)
+    return calls
+
+
+def _stiff_path(mu_mid, n=50):
+    """Unit-weight path with mu = 1 except mu_mid at the middle vertex."""
+    ids = [f"v{i}" for i in range(n)]
+    mu = np.ones(n)
+    mu[n // 2] = mu_mid
+    return WeightedGraph(ids, [(ids[i], ids[i + 1], 1.0) for i in range(n - 1)], mu=mu)
+
+
+@st.composite
+def stiff_graphs(draw):
+    """Symmetric graphs of 2 to 10 vertices, weights in [0.5, 2] and an
+    explicit measure log-uniform in [0.01, 10], so lam = max deg/mu <= 1800."""
+    n = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = [(f"v{i}", f"v{j}", draw(st.floats(0.5, 2.0))) for i, j in chosen]
+    mu = [10.0 ** draw(st.floats(-2.0, 1.0)) for _ in range(n)]
+    return WeightedGraph([f"v{i}" for i in range(n)], edges, mu=mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stiff_graphs(), st.floats(0.0, 10.0))
+def test_series_within_derived_bound_of_oracle_on_both_paths(g, t):
+    # lam t reaches 1.8e4. heat_kernel squares wherever lam t > 1; evolve of
+    # one vector squares only where that beats about 40 n series terms, of
+    # two where it beats about 20 n
+    tol = 1e-12
+    series = _series_bound(g, t, tol)
+    oracle = dense_oracle(g, t).matrix * g.mu[None, :]
+    K = heat_kernel(g, t, tol=tol)
+    E = K.matrix * g.mu[None, :]
+    assert np.all(K.matrix >= 0.0)
+    assert np.abs(E.sum(axis=1) - 1.0).max() <= series
+    assert np.abs(E - oracle).max() <= series + _oracle_bound(g, t)
+    u0 = np.linspace(1.0, 2.0, g.n)
+    for u in (evolve(g, u0, t, tol=tol), evolve(g, np.stack([u0, -u0], 1), t, tol=tol)[:, 0]):
+        assert np.abs(u - oracle @ u0).max() <= (series + _oracle_bound(g, t)) * 2.0
+
+
+def test_squaring_matches_direct_series_within_derived_bound():
+    # the same engine both ways, so no oracle error enters: lam t = 2000
+    g = _stiff_path(1e-3)
+    tol = 1e-12
+    E = heat_kernel(g, 1.0, tol=tol).matrix * g.mu[None, :]
+    Q = np.eye(g.n) + semigroup.generator(g) / 2000.0
+    direct = semigroup._series(Q, 2000.0, tol, np.eye(g.n))
+    assert np.abs(E - direct).max() <= 2 * _series_bound(g, 1.0, tol)
+
+
+def test_squaring_path_taken_where_cheaper(monkeypatch):
+    calls = _series_calls(monkeypatch)
+    g = _stiff_path(1e-3)  # lam = 2000
+    K = heat_kernel(g, 10.0)  # lam t = 2e4: one small step, squared 15 times
+    assert len(calls) == 1 and calls[0][1]
+    assert calls[0][0] * 2**15 == pytest.approx(2e4)
+    assert np.all(K.matrix >= 0.0)  # nonnegative terms keep an enclosure valid
+    calls.clear()
+    evolve(g, np.ones(g.n), 0.01)  # lam t = 20 on one vector: direct
+    assert calls == [(pytest.approx(20.0), False)]
+    calls.clear()
+    evolve(g, np.ones((g.n, 20)), 10.0)  # 20 vectors: squared
+    assert len(calls) == 1 and calls[0][1]
+    calls.clear()
+    heat_kernel(generate("grid", rows=4, cols=4, measure_mode="degree"), 1.0)
+    assert calls == [(1.0, True)]  # lam t = 1: direct
+
+
+def test_very_stiff_kernel_within_derived_bound():
+    # mu = 1e-6 at the middle vertex: at t = 100 the direct series needs
+    # lam t = 2e8 terms and never finished; squaring takes s = 28 steps
+    g = _stiff_path(1e-6)
+    t, tol = 100.0, 1e-10
+    K = heat_kernel(g, t, tol=tol)
+    E = K.matrix * g.mu[None, :]
+    series = _series_bound(g, t, tol)
+    assert np.all(K.matrix >= 0.0)
+    assert np.abs(K.mass() - 1.0).max() <= series
+    oracle = dense_oracle(g, t).matrix * g.mu[None, :]
+    assert np.abs(E - oracle).max() <= series + _oracle_bound(g, t)
