@@ -102,8 +102,8 @@ def _run_suite(g, suite, times, seed, tol, n_funcs):
     U = np.stack([estimates.sample_positive_function(g, rng)
                   for _ in range(n_funcs)], axis=1)
     if suite == "gradient":
-        res = [np.max(np.abs(sqrt_identity_residual(g, u))) for u in U.T]
-        budget = [1e-12 * max(1.0, float(np.max(np.abs(laplacian(g, u))))) for u in U.T]
+        res = np.max(np.abs(sqrt_identity_residual(g, U)), axis=0)
+        budget = 1e-12 * np.maximum(1.0, np.max(np.abs(laplacian(g, U)), axis=0))
         return [estimates.gradient_estimate(g, U), reports.site_reports(
             "sqrt_identity", ["max_residual"] * n_funcs, res, budget, 0.0, 0.0)]
     if suite == "heat-gradient":

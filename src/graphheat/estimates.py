@@ -69,10 +69,9 @@ def gradient_estimate(g: WeightedGraph, u):
 
     Unconditional: passes for every positive u on every graph.
     """
-    cols = _columns(require_positive(g, u))
-    return site_reports("gradient_estimate", np.tile(g.ids, len(cols)),
-                        np.concatenate([gradient_lhs(g, c) for c in cols]),
-                        g.constants().d_mu)
+    lhs = gradient_lhs(g, u)
+    return site_reports("gradient_estimate", np.tile(g.ids, len(_columns(lhs))),
+                        lhs.ravel("F"), g.constants().d_mu)
 
 
 def heat_gradient_estimate(g: WeightedGraph, u0, times):
@@ -86,7 +85,7 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
     """
     u0 = require_positive(g, u0)
     d_mu = g.constants().d_mu
-    states = []  # per time: the columns of u(t), and of u(t-h), u(t+h) if checked
+    blocks = []  # per time: sites, the estimate's lhs, then the FD check's sides if made
     for t in map(check_time, times):
         if t >= FD_STEP:
             # step t-h -> t -> t+h along one semigroup chain, so the series
@@ -95,23 +94,21 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
             minus = evolve(g, u0, t - FD_STEP, tol=HEAT_SERIES_TOL)
             ut = evolve(g, minus, FD_STEP, tol=HEAT_SERIES_TOL)
             plus = evolve(g, ut, FD_STEP, tol=HEAT_SERIES_TOL)
-            states.append((t, _columns(ut), _columns(minus), _columns(plus)))
         else:
-            states.append((t, _columns(evolve(g, u0, t, tol=HEAT_SERIES_TOL)), None, None))
+            ut = evolve(g, u0, t, tol=HEAT_SERIES_TOL)
+        st = np.sqrt(ut)
+        dt_sqrt = laplacian(g, ut) / (2.0 * st)
+        fd = ()
+        if t >= FD_STEP:  # the floor is 1e-9 of the largest sqrt u of each function
+            fd = (np.abs((np.sqrt(plus) - np.sqrt(minus)) / (2.0 * FD_STEP) - dt_sqrt),
+                  FD_REL * np.abs(dt_sqrt) + 1e-9 * np.max(st, axis=0))
+        blocks.append((_sites(g.ids, t), *map(_columns, (gamma(g, st) / ut - dt_sqrt / st, *fd))))
     parts = []
     for k in range(len(_columns(u0))):
-        for t, ut, minus, plus in states:
-            st = np.sqrt(ut[k])
-            dt_sqrt = laplacian(g, ut[k]) / (2.0 * st)
-            lhs = gamma(g, st) / ut[k] - dt_sqrt / st
-            sites = _sites(g.ids, t)
-            parts.append(site_reports("heat_gradient_estimate", sites, lhs, d_mu))
-            if minus is not None:
-                fd = (np.sqrt(plus[k]) - np.sqrt(minus[k])) / (2.0 * FD_STEP)
-                floor = 1e-9 * float(np.max(st))  # of this function's own column
-                parts.append(site_reports(
-                    "heat_gradient_fd", sites, np.abs(fd - dt_sqrt),
-                    FD_REL * np.abs(dt_sqrt) + floor, 0.0, 0.0))
+        for sites, lhs, *fd in blocks:
+            parts.append(site_reports("heat_gradient_estimate", sites, lhs[k], d_mu))
+            if fd:
+                parts.append(site_reports("heat_gradient_fd", sites, fd[0][k], fd[1][k], 0.0, 0.0))
     return concat(parts)
 
 
@@ -124,18 +121,18 @@ def prior_gradient_estimate(g: WeightedGraph, u):
     are independent, so a broad sweep finds winners in both directions.
     """
     c = g.constants()
-    cols = _columns(require_positive(g, u))
-    lhs, rhs, cur_lhs = map(np.concatenate, zip(*(
-        (np.sqrt(2.0 * gamma(g, u)) / u, math.sqrt(c.d) * laplacian(g, u) / u,
-         gradient_lhs(g, u)) for u in cols)))
+    u = require_positive(g, u)
+    lhs, rhs, cur_lhs = (a.ravel("F") for a in (
+        np.sqrt(2.0 * gamma(g, u)) / u, math.sqrt(c.d) * laplacian(g, u) / u,
+        gradient_lhs(g, u)))
     rhs = rhs + math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu)
     rel_prior = (rhs - lhs) / np.maximum(np.abs(rhs), 1e-300)
     rel_cur = (c.d_mu - cur_lhs) / max(abs(c.d_mu), 1e-300)
     extras = [{"tighter": "current" if cur < prior else "prior",
                "rel_slack_current": cur, "rel_slack_prior": prior}
               for cur, prior in zip(rel_cur.tolist(), rel_prior.tolist())]
-    return site_reports("prior_gradient_estimate", np.tile(g.ids, len(cols)), lhs, rhs,
-                        extras=extras)
+    return site_reports("prior_gradient_estimate", np.tile(g.ids, len(_columns(u))),
+                        lhs, rhs, extras=extras)
 
 
 def sample_positive_function(g: WeightedGraph, rng) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Finite weighted graphs with a positive vertex measure.
 
-Provides the graph container, the derived sup/inf constants, hop-count
-distances and metric balls, standard graph generators, and the JSON file
-format used by the command-line tools.
+Provides the graph container with its edge record, the derived sup/inf
+constants, hop-count distances and metric balls, standard graph generators,
+and the JSON file format used by the command-line tools.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ class WeightedGraph:
     """A finite graph with positive edge weights and a positive vertex measure.
 
     Vertices are opaque string ids, in the read-only object array ids, mapped
-    to contiguous integer indices in insertion order. The weight matrix W has
-    W[i, j] = w_ij when j is adjacent to i and 0 otherwise. Graphs are
-    immutable after construction, so the derived data (constants, neighbour
-    lists, hop distances) is computed once, on first use, and kept read-only.
+    to contiguous integer indices in insertion order. The edge record edges =
+    (rows, cols, w, ptr) lists each adjacent pair (i, j) and w_ij row-major,
+    row i at ptr[i]:ptr[i + 1]. The graph is immutable: the record and what is
+    derived from it (W, degrees, constants, hops) are built once, read-only.
     """
 
     def __init__(self, vertex_ids, edges, mu=None, weights_symmetric=True,
@@ -83,7 +83,7 @@ class WeightedGraph:
             raise GraphFormatError(f"unknown measure_mode {measure_mode!r}")
         self.measure_mode = measure_mode
 
-        W = np.zeros((n, n))
+        weights = {}  # (i, j) -> w_ij, both directions of a symmetric edge
         for u, v, w in edges:
             i, j = self._resolve(u), self._resolve(v)
             if i == j:
@@ -92,16 +92,21 @@ class WeightedGraph:
             if not 0 < w < math.inf:
                 raise GraphFormatError(
                     f"weight {w} on edge ({u},{v}) is not positive and finite")
-            if W[i, j] != 0 or (self.weights_symmetric and W[j, i] != 0):
+            if (i, j) in weights:
                 raise GraphFormatError(f"duplicate edge ({u},{v})")
-            W[i, j] = w
+            weights[i, j] = w
             if self.weights_symmetric:
-                W[j, i] = w
-        self.W = W
-        self.W.setflags(write=False)
+                weights[j, i] = w
+        rows, cols = np.array(sorted(weights), dtype=np.intp).reshape(-1, 2).T.copy()
+        w = np.array([weights[p] for p in zip(rows.tolist(), cols.tolist())])
+        self.edges = (rows, cols, w, np.searchsorted(rows, np.arange(n + 1)))
+        self.W = np.zeros((n, n))  # dense weights, for the outputs that are dense
+        self.W[rows, cols] = w
         with np.errstate(over="ignore"):  # an infinite degree is rejected below
-            self.degrees = W.sum(axis=1)
-        self.degrees.setflags(write=False)
+            self.degrees = np.zeros(n)
+            np.add.at(self.degrees, rows, w)
+        for a in (*self.edges, self.W, self.degrees):
+            a.setflags(write=False)
 
         if measure_mode == "unit":
             mu_arr = np.ones(n)
@@ -148,8 +153,7 @@ class WeightedGraph:
     @property
     def num_edges(self) -> int:
         """Number of adjacent ordered pairs, halved when symmetric."""
-        m = int(np.count_nonzero(self.W))
-        return m // 2 if self.weights_symmetric else m
+        return len(self.edges[0]) // (2 if self.weights_symmetric else 1)
 
     @property
     def total_volume(self) -> float:
@@ -161,29 +165,23 @@ class WeightedGraph:
 
     @cached_property
     def _constants(self) -> GraphConstants:
-        rows, cols = np.nonzero(self.W)
+        rows, _, w, _ = self.edges
         if not rows.size:
             raise GraphFormatError("constants undefined on an edgeless graph")
-        w_adj = self.W[rows, cols]
         return GraphConstants(
             d_mu=float(np.max(self.degrees / self.mu)),
             mu_max=float(np.max(self.mu)),
-            w_min=float(np.min(w_adj)),
-            d=float(np.max(self.mu[rows] / w_adj)),
-            d_w=float(np.max(self.degrees[rows] / w_adj)),
+            w_min=float(np.min(w)),
+            d=float(np.max(self.mu[rows] / w)),
+            d_w=float(np.max(self.degrees[rows] / w)),
         )
-
-    @cached_property
-    def neighbors(self) -> tuple:
-        """neighbors[i]: the indices j with W[i, j] > 0, ascending."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.W)
 
     # -- metric structure --------------------------------------------------
 
     @cached_property
     def _hops(self) -> np.ndarray:
-        # one breadth-first search per source over the neighbour lists
-        nbrs = self.neighbors
+        # one breadth-first search per source over the edge record's rows
+        nbrs = [c.tolist() for c in np.split(self.edges[1], self.edges[3][1:-1])]
         D = np.full((self.n, self.n), np.inf)
         for s, row in enumerate(D):
             seen = {s}
@@ -204,12 +202,13 @@ class WeightedGraph:
 
     @cached_property
     def _jumps(self) -> tuple:
-        # the walk's rates deg/mu; per adjacent pair (i, j), row-major, j and a key
-        # 2i + the cumulative jump probability, exactly 2i + 1 at a row's end, so
-        # 2i + u (0 <= u < 1) finds row i: the gap (2i - 1, 2i) absorbs rounding
+        # the walk's rates deg/mu; per record pair (i, j), j and a key 2i + the jump
+        # probability summed from 0 in row i (bit for bit W's row cumsum), exactly
+        # 2i + 1 at a row's end: 2i + u (0 <= u < 1) finds row i, (2i - 1, 2i) absorbs rounding
         rates = self.degrees / self.mu
-        rows, cols = np.nonzero(self.W)
-        keys = 2 * rows + np.cumsum(self.W, axis=1)[rows, cols] / self.degrees[rows]
+        rows, cols, w, ptr = self.edges
+        cum = np.concatenate([np.cumsum(r) for r in np.split(w, ptr[1:-1])])
+        keys = 2 * rows + cum / self.degrees[rows]
         last = np.diff(rows, append=self.n) > 0
         keys[last] = 2 * rows[last] + 1.0
         for a in (rates, cols, keys):
@@ -241,7 +240,7 @@ class WeightedGraph:
 # -- vertex functions ------------------------------------------------------
 
 def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
-    """Coerce f (array-like or id->value dict) to an array over g's vertices."""
+    """Coerce f (array-like or id->value dict) to an (n,) array, or an (n, m) batch."""
     if isinstance(f, dict):
         missing = [v for v in g.ids if v not in f]
         if missing:
@@ -251,9 +250,9 @@ def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
             raise GraphFormatError(f"function has unknown vertices {extra}")
         return np.array([float(f[v]) for v in g.ids])
     arr = np.asarray(f, dtype=float)
-    if arr.shape != (g.n,):
+    if arr.ndim not in (1, 2) or len(arr) != g.n:
         raise GraphFormatError(
-            f"function domain mismatch: expected {g.n} values, got shape {arr.shape}")
+            f"function domain mismatch: expected {g.n} values or rows, got shape {arr.shape}")
     return arr
 
 
@@ -266,8 +265,8 @@ def graph_to_dict(g: WeightedGraph) -> dict:
         if g.measure_mode == "explicit":
             entry["mu"] = g.mu[i]
         verts.append(entry)
-    edges = [{"u": g.ids[i], "v": g.ids[j], "w": g.W[i, j]}
-             for i, nbrs in enumerate(g.neighbors) for j in nbrs
+    edges = [{"u": g.ids[i], "v": g.ids[j], "w": w}
+             for i, j, w in zip(*(a.tolist() for a in g.edges[:3]))
              if j > i or not g.weights_symmetric]
     return {
         "weights_symmetric": g.weights_symmetric,

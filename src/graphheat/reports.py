@@ -46,17 +46,19 @@ def site_reports(check, sites, lhs, rhs, abs_tol=DEFAULT_ABS_TOL,
                  rel_tol=DEFAULT_REL_TOL, extras=None) -> Reports:
     """One row per site from 1-d arrays of the two sides.
 
-    A scalar side or tolerance applies to every site; a side or extras list
-    whose length differs from the number of sites raises ValueError.
+    A scalar side or tolerance applies to every site; only an owning float
+    array of one value per site is not copied. A side or extras list whose
+    length differs from the number of sites raises ValueError.
     """
     sites = np.asarray(sites, dtype=object)
     n = len(sites)
     extras = np.full(n, None) if extras is None else np.fromiter(extras, dtype=object)
     if len(extras) != n:
         raise ValueError(f"{len(extras)} extras for {n} sites")
+    cols = [np.asarray(col, dtype=float) for col in (lhs, rhs, abs_tol, rel_tol)]
     return Reports(np.full(n, check, dtype=object), sites,
-                   *(np.broadcast_to(np.asarray(col, dtype=float), (n,)).copy()
-                     for col in (lhs, rhs, abs_tol, rel_tol)), extras)
+                   *(c if c.shape == (n,) and c.base is None
+                     else np.broadcast_to(c, (n,)).copy() for c in cols), extras)
 
 
 def concat(parts) -> Reports:

@@ -116,10 +116,7 @@ def evolve(g: WeightedGraph, u0, t: float, tol: float = DEFAULT_TOL) -> np.ndarr
     u0 is a vertex function, or an (n, m) array with one initial function
     per column. Forms the kernel only where squaring it is the cheaper route.
     """
-    u0 = np.asarray(u0, dtype=float) if np.ndim(u0) == 2 else as_vertex_function(g, u0)
-    if len(u0) != g.n:
-        raise ValueError("initial-condition rows must match the vertex count")
-    return _uniformized_apply(g, t, tol, u0)
+    return _uniformized_apply(g, t, tol, as_vertex_function(g, u0))
 
 
 def dense_oracle(g: WeightedGraph, t: float) -> HeatKernel:

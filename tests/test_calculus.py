@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import k2, log_uniform, path3, random_graph
-from graphheat import (gamma, laplacian, neg_sqrt_laplacian_bound,
-                       sqrt_identity_residual)
+from graphheat import (WeightedGraph, evolve, gamma, gradient_estimate, laplacian,
+                       neg_sqrt_laplacian_bound, sqrt_identity_residual)
 from graphheat.graph import GraphFormatError
 
 
 def test_laplacian_constant_is_zero():
     g = path3()
     assert np.all(laplacian(g, [3.0, 3.0, 3.0]) == 0.0)
+    batch = laplacian(g, np.full((3, 4), [3.0, -0.1, 0.0, 1e300]))
+    assert batch.shape == (3, 4) and np.all(batch == 0.0)
 
 
 def test_laplacian_k2():
@@ -26,10 +28,31 @@ def test_laplacian_domain_mismatch():
         laplacian(path3(), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("call", [laplacian, gamma, gradient_estimate,
+                                  lambda g, f: evolve(g, f, 1.0)],
+                         ids=["laplacian", "gamma", "gradient_estimate", "evolve"])
+def test_batch_domain_mismatch(call, shape):
+    # path3 has 3 vertices: one row too many, one too few, and a 3-d array
+    with pytest.raises(GraphFormatError, match="function domain mismatch"):
+        call(path3(), np.ones(shape))
+
+
 def test_laplacian_zero_at_isolated_vertex():
-    from graphheat import WeightedGraph
     g = WeightedGraph(["a", "b", "c"], [("a", "b", 1.0)], measure_mode="unit")
     assert laplacian(g, [5.0, -2.0, 7.0])[2] == 0.0
+    F = np.array([[5.0, 1.0], [-2.0, 4.0], [7.0, 9.0]])
+    assert np.all(laplacian(g, F)[2] == 0.0) and np.all(gamma(g, F)[2] == 0.0)
+
+
+def test_asymmetric_graph_keeps_edge_direction():
+    # the one edge a -> b: a sees b, b sees no vertex
+    g = WeightedGraph(["a", "b"], [("a", "b", 2.0)], mu=[1.0, 4.0],
+                      weights_symmetric=False)
+    F = np.array([[0.0, 1.0], [3.0, -1.0]])
+    assert np.array_equal(laplacian(g, F), [[6.0, -4.0], [0.0, 0.0]])
+    assert np.array_equal(gamma(g, F), [[9.0, 4.0], [0.0, 0.0]])
+    assert np.array_equal(laplacian(g, F[:, 0]), [6.0, 0.0])
 
 
 def test_gamma_constant_first_argument():
@@ -37,6 +60,9 @@ def test_gamma_constant_first_argument():
     rng = np.random.default_rng(0)
     h = rng.normal(size=3)
     assert np.all(gamma(g, np.ones(3), h) == 0.0)
+    H = rng.normal(size=(3, 2))
+    assert np.all(gamma(g, np.full((3, 2), [1.0, -7.0]), H) == 0.0)
+    assert np.all(gamma(g, H, np.full((3, 2), 2.0)) == 0.0)
 
 
 def test_gamma_k2_quadratic():
@@ -85,6 +111,13 @@ def test_product_rule_cross_check():
         rhs = laplacian(g, f * h) - f * laplacian(g, h) - h * laplacian(g, f)
         np.testing.assert_allclose(lhs, rhs, rtol=0,
                                    atol=1e-11 * max(1.0, np.abs(rhs).max()))
+        # a batch equals its columns taken one at a time, bit for bit
+        F = np.column_stack([f, h, f * h])
+        assert np.array_equal(laplacian(g, F),
+                              np.column_stack([laplacian(g, c) for c in F.T]))
+        assert np.array_equal(gamma(g, F, F[:, ::-1]), np.column_stack(
+            [gamma(g, a, b) for a, b in zip(F.T, F.T[::-1])]))
+        assert np.array_equal(gamma(g, F), np.column_stack([gamma(g, c) for c in F.T]))
 
 
 def test_sqrt_identity_constant_exact():

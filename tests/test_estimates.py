@@ -232,6 +232,9 @@ def _rows_agree(batch, single):
     for side in ("lhs", "rhs"):
         a, b = getattr(batch, side)[checked], getattr(single, side)[checked]
         assert np.all((a == b) | (np.abs(a - b) <= budget[checked]))
+    # its rhs, FD_REL |d/dt sqrt u| plus 1e-9 of the function's own largest
+    # sqrt u, is no cancellation: it agrees far inside 1e-9 relative
+    np.testing.assert_allclose(batch.rhs[~checked], single.rhs[~checked], rtol=1e-9, atol=0)
 
 
 def test_batch_equals_its_columns():

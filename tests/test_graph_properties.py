@@ -57,7 +57,17 @@ def test_hop_distances(g):
 def test_derived_data_is_read_only(g):
     with pytest.raises(ValueError):
         g.distance_matrix()[0, 0] = 1.0
-    assert all(isinstance(nbrs, tuple) for nbrs in g.neighbors)
+    rows, cols, w, ptr = g.edges
+    for a in g.edges:
+        with pytest.raises(ValueError):
+            a[:1] = 0
+    assert np.all(np.diff(rows * g.n + cols) > 0)  # row-major, no repeats
+    assert np.array_equal(ptr, np.searchsorted(rows, np.arange(g.n + 1)))
+    W = np.zeros((g.n, g.n))
+    W[rows, cols] = w
+    assert np.array_equal(W, g.W) and np.all(w > 0)
+    with pytest.raises(ValueError):
+        g.W[0, 0] = 1.0
     if g.num_edges:
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.constants().d_mu = 0.0

@@ -76,6 +76,16 @@ def test_site_reports_broadcasts_scalars_and_keeps_floats():
     assert tagged.extra.tolist() == [{"k": 1}, {"k": 2}]
 
 
+def test_site_reports_copies_views_and_adopts_fresh_arrays():
+    matrix = np.arange(4.0).reshape(2, 2)
+    view = matrix.ravel()  # as verify_kernel_upper passes a kernel matrix
+    fresh = np.array([1.0, 2.0, 3.0, 4.0])
+    reports = site_reports("c", range(4), view, fresh)
+    assert reports.lhs.tolist() == view.tolist()
+    assert not np.shares_memory(reports.lhs, matrix)
+    assert reports.rhs is fresh  # an owning float column is adopted, not copied
+
+
 @pytest.mark.parametrize("lhs, extras", [([1.0, 2.0], None),
                                          (0.0, [{}, {}])])
 def test_site_reports_rejects_length_mismatch(lhs, extras):

@@ -83,6 +83,20 @@ def test_weighted_jumps_match_kernel():
         assert np.all(est.consistent_with(K.matrix[i], n_sigma=z))
 
 
+def test_jump_keys_are_row_cumsums_of_the_dense_weights():
+    # the keys behind same-seed kernel --mc CSVs: 2i + cumsum(W[i]) / deg(i) at
+    # each edge of row i, bit for bit, and exactly 2i + 1 at the row's end
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        g = random_graph(rng, n_max=40, p=0.5, w_lo=0.1, w_hi=3.0)
+        _, cols, keys = g._jumps
+        rows, ref_cols = np.nonzero(g.W)
+        ref = 2 * rows + np.cumsum(g.W, axis=1)[rows, ref_cols] / g.degrees[rows]
+        last = np.diff(rows, append=g.n) > 0
+        ref[last] = 2 * rows[last] + 1.0
+        assert np.array_equal(cols, ref_cols) and np.array_equal(keys, ref)
+
+
 def test_one_way_edge_absorbs():
     # a -> b only: b has no out-edge, so its rate is 0 and walks that reach it stay
     g = WeightedGraph(["a", "b"], [("a", "b", 1.0)], measure_mode="unit",
