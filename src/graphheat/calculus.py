@@ -67,9 +67,8 @@ def sqrt_identity_residual(g: WeightedGraph, u) -> np.ndarray:
 
 
 def neg_sqrt_laplacian_bound(g: WeightedGraph, u):
-    """Per-vertex check of -L(sqrt u)(x) <= (deg(x)/mu(x)) * sqrt(u)(x)."""
-    u = require_positive(g, u)
-    s = np.sqrt(u)
-    lhs = -laplacian(g, s)
-    rhs = (g.degrees / g.mu) * s
-    return site_reports("neg_sqrt_laplacian", g.ids, lhs, rhs)
+    """Per-vertex check of -L(sqrt u)(x) <= (deg(x)/mu(x)) * sqrt(u)(x); an
+    (n, m) batch gives the rows of each column in turn."""
+    s = np.sqrt(require_positive(g, u))
+    return site_reports("neg_sqrt_laplacian", np.tile(g.ids, s.shape[1] if s.ndim == 2 else 1),
+                        -laplacian(g, s).ravel("F"), ((g.degrees / g.mu) * s.T).T.ravel("F"))

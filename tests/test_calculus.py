@@ -5,6 +5,7 @@ from conftest import k2, log_uniform, path3, random_graph
 from graphheat import (WeightedGraph, evolve, gamma, gradient_estimate, laplacian,
                        neg_sqrt_laplacian_bound, sqrt_identity_residual)
 from graphheat.graph import GraphFormatError
+from graphheat.reports import concat
 
 
 def test_laplacian_constant_is_zero():
@@ -169,6 +170,24 @@ def test_neg_sqrt_bound_asymptotically_tight():
     # slack at the large vertex is sqrt(eps), shrinking to 0
     assert slacks[0] > slacks[1] > slacks[2]
     assert slacks[2] == pytest.approx(1e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_neg_sqrt_bound_batch_is_its_columns_in_turn(m):
+    # a 4-vertex path, and random graphs; an (n, m) batch writes the rows of
+    # each column in turn, bit for bit those of the column on its own
+    rng = np.random.default_rng(12 + m)
+    path4 = WeightedGraph(list("abcd"), [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 0.5)],
+                          measure_mode="unit")
+    for g in [path4] + [random_graph(rng, n_max=12) for _ in range(5)]:
+        U = log_uniform(rng, g.n * m).reshape(g.n, m)
+        batch = neg_sqrt_laplacian_bound(g, U)
+        cols = concat([neg_sqrt_laplacian_bound(g, U[:, j]) for j in range(m)])
+        assert len(batch) == g.n * m
+        assert batch.site.tolist() == cols.site.tolist() == np.tile(g.ids, m).tolist()
+        for side in ("lhs", "rhs", "abs_tol", "rel_tol"):
+            a, b = (np.asarray(getattr(r, side)) for r in (batch, cols))
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), side
 
 
 def test_neg_sqrt_bound_random_sweep():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graphheat import cli, reports as reports_module
+from graphheat import cli, generate, reports as reports_module, save_graph
 from graphheat.reports import (CHUNK_ROWS, FIELDS, Reports, all_pass, concat,
                                site_reports, summarize, write_csv, write_jsonl)
 
@@ -70,6 +70,13 @@ def test_site_reports_broadcasts_scalars_and_keeps_floats():
     assert reports.abs_tol.tolist() == [0.0] * 3
     assert reports.rel_tol.tolist() == [0.5] * 3
     assert reports.extra.tolist() == [None] * 3
+    # scalar columns are read-only zero-stride views of a value of their own
+    rhs, abs_tol = np.array(1.0), np.zeros(())
+    shared = site_reports("c", ["x", "y", "z"], lhs, rhs, abs_tol)
+    for name in ("check", "rhs", "abs_tol", "rel_tol", "extra"):
+        col = getattr(shared, name)
+        assert col.shape == (3,) and col.strides == (0,) and not col.flags.writeable, name
+        assert not any(np.shares_memory(col, a) for a in (lhs, rhs, abs_tol)), name
     tagged = site_reports("c", [0, 1], 0.0, [1.0, 2.0],
                           extras=[{"k": 1}, {"k": 2}])
     assert tagged.rhs.tolist() == [1.0, 2.0]
@@ -206,11 +213,27 @@ ATOMS = TEXT | st.integers() | st.booleans() | FLOATS | MIXED
 EXTRAS = st.none() | st.just({}) | st.dictionaries(TEXT, ATOMS, max_size=2)
 
 
+# a few floats, so that a column drawn from them repeats values across chunks
+# and records: both zeros and NaNs of several bit patterns among them
+POOL = st.sampled_from([0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf,
+                        1.0, 0.1, 1e-10])
+
+
+def _column(draw, n, values, dtype):
+    # n of values, n from POOL (for floats) or one value as a zero-stride broadcast
+    how = draw(st.sampled_from(["any", "pool", "broadcast"]))
+    if how == "broadcast":
+        return np.broadcast_to(np.array(draw(values), dtype=dtype), (n,))
+    if how == "pool" and dtype is float:
+        values = POOL
+    return np.fromiter(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+
 @st.composite
 def records(draw, lengths):
     """A Reports record whose sites are a 1-d array of any values or lists,
     or a (rows, positions) array whose positions each hold values of one
-    kind."""
+    kind; its other columns may repeat a few values or be broadcasts."""
     n = draw(lengths)
     k = draw(st.none() | st.integers(0, 3))
     if k is None:
@@ -221,12 +244,9 @@ def records(draw, lengths):
                  for _ in range(k)]
         sites = np.array([[draw(kind) for kind in kinds] for _ in range(n)],
                          dtype=object).reshape(n, k)
-    check, lhs, rhs, abs_tol, rel_tol, extra = (
-        draw(st.lists(values, min_size=n, max_size=n)) for values in (
-            st.sampled_from(["a", "b"]) | TEXT, FLOATS, FLOATS, FLOATS, FLOATS, EXTRAS))
-    return Reports(np.array(check, dtype=object), sites,
-                   *map(np.array, (lhs, rhs, abs_tol, rel_tol), [float] * 4),
-                   np.fromiter(extra, dtype=object))
+    check = _column(draw, n, st.sampled_from(["a", "b"]) | TEXT, object)
+    lhs, rhs, abs_tol, rel_tol = (_column(draw, n, FLOATS, float) for _ in range(4))
+    return Reports(check, sites, lhs, rhs, abs_tol, rel_tol, _column(draw, n, EXTRAS, object))
 
 
 @settings(max_examples=200, deadline=None,
@@ -259,9 +279,26 @@ def test_writers_match_one_json_dumps_per_row_at_the_chunk_size(tmp_path, n):
     _assert_writers_match_oracle(tmp_path, recs, {}, summarize(recs))
 
 
-@pytest.mark.parametrize("graph", sorted((ROOT / "example_graphs").glob("*.json")),
-                         ids=lambda p: p.stem)
+def test_writers_keep_values_that_are_equal_keys_apart(tmp_path):
+    # as dict keys 1 == 1.0 == True and 0.0 == -0.0: each is written as
+    # itself, within a chunk and when one chunk holds only one of them
+    kinds = [1, 1.0, True]
+    mixed = site_reports("a", kinds * 4, [0.0] * 3 + [-0.0] * 3 + [0.0, -0.0] * 3, -0.0)
+    uniform = site_reports("b", [[k, "v"] for k in kinds for _ in range(3)],
+                           [-0.0] * 3 + [0.0] * 6, [0.0] * 6 + [-0.0] * 3)
+    with mock.patch.object(reports_module, "CHUNK_ROWS", 3):
+        _assert_writers_match_oracle(tmp_path, [mixed, uniform], {}, {})
+        lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
+    assert [line.split('"site": ')[1].split(",")[0] for line in lines[:3]] == ["1", "1.0", "true"]
+    assert [line.count('"lhs": -0.0,') for line in lines[2:5]] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("graph", sorted((ROOT / "example_graphs").glob("*.json"))
+                         + ["grid8"], ids=lambda p: getattr(p, "stem", p))
 def test_verify_reports_match_one_json_dumps_per_row(tmp_path, monkeypatch, graph):
+    if graph == "grid8":  # its 4096-row kernel records span four chunks
+        graph = tmp_path / "grid8.json"
+        save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
     seen = []
 
     def keep(path, records, config, summary):
