@@ -180,23 +180,27 @@ class WeightedGraph:
 
     @cached_property
     def _hops(self) -> np.ndarray:
-        # one breadth-first search per source over the edge record's rows
-        nbrs = [c.tolist() for c in np.split(self.edges[1], self.edges[3][1:-1])]
-        D = np.full((self.n, self.n), np.inf)
-        for s, row in enumerate(D):
-            seen = {s}
-            frontier = [s]
-            hops = 0
-            while frontier:
-                row[frontier] = hops
-                hops += 1
-                nxt = []
-                for u in frontier:
-                    for v in nbrs[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-                frontier = nxt
+        # breadth-first search from all sources at once: each vertex has a bitset of
+        # the sources that reached it (uint64 words, bit s in byte s // 8), and a
+        # level ORs the frontier's bitsets over each vertex's in-edges
+        n, order = self.n, np.argsort(self.edges[1])
+        tails, heads = self.edges[0][order], self.edges[1][order]
+        starts = np.flatnonzero(np.diff(heads, prepend=-1))  # in-edges of each target
+        targets = heads[starts]
+        frontier = np.zeros((n, -(-n // 64)), np.uint64)
+        frontier.view(np.uint8)[np.arange(n), np.arange(n) // 8] = 1 << np.arange(n) % 8
+        reached, D = frontier.copy(), np.full((n, n), np.inf)
+        np.fill_diagonal(D, 0.0)
+        for hops in range(1, n if len(tails) else 1):
+            new = np.bitwise_or.reduceat(frontier[tails], starts) & ~reached[targets]
+            if not new.any():
+                break
+            frontier[:] = 0
+            frontier[targets] = new
+            reached[targets] |= new
+            at, source = np.divmod(np.flatnonzero(np.unpackbits(
+                new.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)), n)
+            D[source, targets[at]] = hops
         D.setflags(write=False)
         return D
 

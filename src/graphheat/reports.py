@@ -2,8 +2,11 @@
 and their JSON-lines and CSV emission."""
 
 import csv
+import io
 import json
+import operator
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -84,91 +87,140 @@ def summarize(reports) -> dict:
     """Pass counts and minimum slack grouped by check name, in the order the
     checks first appear; a NaN slack makes its check's minimum NaN."""
     summary = {}
-    for *_, c in _chunks(reports):
-        for check in dict.fromkeys(c.check):
-            rows = c.check == check
-            low = float(c.slack[rows].min())
+    for r in _records(reports):
+        slack, passed = r.slack, r.passed
+        names = r.check if r.check.strides[0] else r.check[:1]  # a broadcast: one group
+        for check in dict.fromkeys(names.tolist()):
+            rows = r.check == check if names is r.check else slice(None)
+            low = float(slack[rows].min())
             s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": low})
-            s["n"] += int(np.count_nonzero(rows))
-            s["n_pass"] += int(np.count_nonzero(c.passed & rows))
+            s["n"] += len(slack[rows])
+            s["n_pass"] += int(np.count_nonzero(passed[rows]))
             s["min_slack"] = float(np.minimum(s["min_slack"], low))
     return summary
 
 
 CHUNK_ROWS = 1024  # rows joined per write, to bound the text in memory
-_SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json does
-_KEYS = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
-_ZERO = np.zeros(1, np.int64), np.array(["0.0"], dtype=object)  # the table of 0.0
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
-def _chunks(reports):
-    # each record, and its rows CHUNK_ROWS at a time from row i as a Reports
-    for r in _records(reports):
-        for i in range(0, len(r), CHUNK_ROWS):
-            yield r, i, Reports(*(getattr(r, f.name)[i:i + CHUNK_ROWS] for f in fields(Reports)))
+def _texts(text):
+    """texts(col): text(v) of each value v of an object column, a str's memoized for
+    the whole write (keyed by str only, as keys 0.0 == -0.0 and 1 == 1.0 == True),
+    any other value's made once per object per chunk."""
+    memo = {}
 
-
-def _texts(col, strs, spelled, table=_ZERO) -> list:
-    """The json text of each value of a column, once for a broadcast scalar: a str
-    memoized in strs, keyed by str only (as keys 0.0 == -0.0 and 1 == 1.0 == True);
-    a float found by its bit pattern in table, or formatted, respelled by spelled."""
-    if len(col) > 1 and not col.strides[0]:
-        return _texts(col[:1], strs, spelled, table) * len(col)
-    if col.dtype == object:
+    def texts(col):
         values = col.tolist()
-        if (kinds := set(map(type, values))) == {str}:
-            strs.update((v, json.dumps(v)) for v in set(values).difference(strs))
-            return list(map(strs.__getitem__, values))
-        if kinds == {float}:  # a list site's times: a few per chunk, each formatted once
-            keys, at = np.unique(np.array(values).view(np.int64), return_inverse=True)
-            return np.array(_texts(keys.view(float), strs, _SPELLED), dtype=object)[at].tolist()
-        return list(map(json.dumps, values))
-    keys, texts = table
-    at = np.minimum(np.searchsorted(keys, bits := col.view(np.int64)), len(keys) - 1)
-    texts, new = texts[at], keys[at] != bits
-    texts[new] = [spelled.get(t, t) for t in map(float.__repr__, col[new].tolist())]
-    return texts.tolist()
+        try:
+            return list(map(memo.__getitem__, values))
+        except (KeyError, TypeError):  # a str not seen yet, or not a str
+            objs = dict(zip(map(id, values), values))
+            memo.update((v, text(v)) for v in objs.values() if type(v) is str and v not in memo)
+            out = {i: memo[v] if type(v) is str else text(v) for i, v in objs.items()}
+            return list(map(out.__getitem__, map(id, values)))
+    return texts
 
 
-def _fields(reports, spelled, bools):
-    """Each chunk of each record and its fields' pieces in FIELDS order, a str or one text
-    per row; a float repeated in its record's column is formatted once; pass is bools[passed]."""
-    strs = {}
-    for r, i, c in _chunks(reports):
-        if not i:  # the sorted bit patterns that repeat in each float column, and 0.0
-            floats = [np.asarray(f, float) for f in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)]
-            keys = [np.union1d(k[n > 1], 0) for k, n in (np.unique(f.view(np.int64)[
-                :len(f) if f.strides[0] else 1], return_counts=True) for f in floats)]
-            tables = [(k, np.array(_texts(k.view(float), strs, spelled), object)) for k in keys]
-        site = [_texts(p, strs, spelled) for p in (c.site.T if c.site.ndim == 2 else [c.site])]
-        values = [[_texts(f[i:i + len(c)], strs, spelled, t)] for f, t in zip(floats, tables)]
-        yield c, [[_texts(c.check, strs, spelled)], ["[", *[t for s in site for t in (
-            ", ", s)][1:], "]"] if c.site.ndim == 2 else site, *values[:3],
-            [list(map(bools.__getitem__, c.passed.tolist()))], *values[3:]]
+def _floats(cols, reprs):
+    """texts(col) of a record's float columns: a bit pattern that occurs more than once
+    over all of them (or is 0.0, so the table is never empty) is formatted once by
+    reprs and found by searchsorted, any other in its chunk."""
+    keys = [np.zeros(2, np.int64)]
+    for c in cols:  # the unique keys of each column, and twice those it repeats
+        k, n = np.unique(c.view(np.int64), return_counts=True)
+        keys += [k, k[n > 1]]
+    keys, n = np.unique(np.concatenate(keys), return_counts=True)
+    keys = keys[n > 1]  # listed more than once
+    table = np.array(reprs(keys.view(float)), dtype=object)
+
+    def texts(col):
+        at = np.minimum(keys.searchsorted(bits := col.view(np.int64)), len(keys) - 1)
+        out, new = table[at], keys[at] != bits
+        if new.any():
+            out[new] = reprs(col[new])
+        return out.tolist()
+    return texts
+
+
+def _same(col) -> bool:
+    # whether every row holds the first row's object, or a number's bit pattern
+    if col.dtype == object:
+        return not col.strides[0] or all(map(operator.is_, col.tolist(), repeat(col[0])))
+    bits = col.view(f"i{col.itemsize}")
+    return bool((bits == bits[0]).all())
+
+
+def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=None):
+    """Write each record's rows by one template: keys[i] precedes field i and end
+    ends a row; check, site, passed and extra (if given, written before end) give
+    a column's texts, and listed(k) the (start, separator, stop, texts) of a list
+    site of k positions; reprs(floats) the texts of floats. A column whose rows
+    all hold one object, or one float bit pattern, is text of the template; each
+    other column fills a slot, CHUNK_ROWS rows at a time, before a chunk's join."""
+    def field(col, texts):
+        return texts(col[:1])[0] if _same(col) else (texts, col)
+
+    for r in _records(reports):
+        if not len(r):
+            continue
+        values = [np.asarray(f, float) for f in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)]
+        floats = _floats([f for f in values if not _same(f)], reprs)
+        if r.site.ndim == 2:
+            start, sep, stop, texts = listed(r.site.shape[1])
+            sites = [start, *[x for p in r.site.T for x in (sep, field(p, texts))][1:], stop]
+        else:
+            sites = [field(r.site, site)]
+        fields = [[field(r.check, check)], sites, *([field(f, floats)] for f in values[:3]),
+                  [field(r.passed, passed)], *([field(f, floats)] for f in values[3:])]
+        row = [""]  # text, slot, text, ..., slot, text
+        for x in [x for key, items in zip(keys, fields) for x in (key, *items)] + (
+                [field(r.extra, extra)] if extra else []) + [end]:
+            if isinstance(x, str):
+                row[-1] += x
+            else:
+                row += [x, ""]
+        for i in range(0, len(r), CHUNK_ROWS):
+            rows = row * min(CHUNK_ROWS, len(r) - i)
+            for j in range(1, len(row), 2):
+                texts, col = row[j]
+                rows[j::len(row)] = texts(col[i:i + CHUNK_ROWS])
+            fh.write("".join(rows))
 
 
 def write_jsonl(path, reports, config, summary) -> None:
     """Write a config line, one report row per line and a summary footer
     (the result of summarize(reports)). Every line is standalone JSON, and
     the bytes are those of one json.dumps per line."""
+    dumps = _texts(json.dumps)
+    keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config}) + "\n")
-        for c, values in _fields(reports, _SPELLED, ("false", "true")):
-            pieces = [p for key, v in zip(_KEYS, values) for p in (key, *v)] + [[
-                f', "extra": {json.dumps(e)}}}\n' if e else "}\n" for e in c.extra.tolist()]]
-            rows = [""] * (len(pieces) * len(c))  # stitched a piece at a time, joined once
-            for j, p in enumerate(pieces):
-                rows[j::len(pieces)] = [p] * len(c) if isinstance(p, str) else p
-            fh.write("".join(rows))
+        _write(fh, reports, keys, "}\n", dumps, dumps, lambda k: ("[", ", ", "]", dumps), dumps,
+               lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
+               _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
         fh.write(json.dumps({"summary": summary}) + "\n")
+
+
+def _csv_field(value) -> str:
+    # value as csv.writer writes it as a field of a row
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[:-3]
 
 
 def write_csv(path, reports) -> None:
     """One CSV row per report row in FIELDS order, without extra; the site
-    column holds the site's JSON text."""
+    column holds the site's JSON text. The bytes are those of csv.writer."""
+    inner = _texts(lambda v: json.dumps(v).replace('"', '""'))  # in a quoted field
+    single = _texts(lambda v: _csv_field(f"[{json.dumps(v)}]"))
+
+    def listed(k):  # the separator ", " of k > 1 positions makes csv quote the field
+        if k > 1:
+            return '"[', ", ", ']"', inner
+        return ("", "", "", single) if k else ("[", "", "]", None)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(FIELDS)
-        for c, (_, site, *values) in _fields(reports, {}, (False, True)):
-            site = map("".join, zip(*([p] * len(c) if isinstance(p, str) else p for p in site)))
-            w.writerows(zip(c.check.tolist(), site, *(v for [v] in values)))
+        csv.writer(fh).writerow(FIELDS)
+        _write(fh, reports, ["", *","*7], "\r\n", _texts(_csv_field),
+               _texts(lambda v: _csv_field(json.dumps(v))), listed, _texts(str),
+               lambda v: list(map(float.__repr__, v.tolist())))

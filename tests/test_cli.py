@@ -380,3 +380,21 @@ def test_cli_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_loads_no_numpy_ma(tmp_path, fmt):
+    # numpy.ma costs a verify run an import it does not use; on numpy 1.x,
+    # `import numpy` loads it anyway
+    def modules_after(code):
+        out = subprocess.run([sys.executable, "-c", f"import sys; {code}; print(); "
+                              "print('numpy.ma' in sys.modules)"], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+        return out.splitlines()[-1]
+    if modules_after("import numpy") == "True":
+        pytest.skip("import numpy loads numpy.ma")
+    assert modules_after(
+        f"import graphheat.cli as c; assert c.main(['verify', '--graph', "
+        f"{str(ROOT / 'example_graphs' / 'grid3x3.json')!r}, '--suite', 'all', "
+        f"'--format', {fmt!r}, '--out', {str(tmp_path / 'r.out')!r}]) == 0") == "False"

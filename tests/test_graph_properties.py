@@ -52,6 +52,57 @@ def test_hop_distances(g):
             assert g.ball_volume(x, r) == g.mu[D[x] <= r].sum()
 
 
+def _unit_graph(n, arcs, symmetric):
+    # a unit-weight graph on v0..v{n-1} and its arcs (i, j), both ways if symmetric
+    if symmetric:
+        arcs = {(min(i, j), max(i, j)) for i, j in arcs}
+    g = WeightedGraph([f"v{i}" for i in range(n)],
+                      [(f"v{i}", f"v{j}", 1.0) for i, j in sorted(arcs)],
+                      weights_symmetric=symmetric, measure_mode="unit")
+    return g, arcs | {(j, i) for i, j in arcs} if symmetric else arcs
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of up to 150 vertices, so that the sources span several 64-bit
+    words: directed or not, random arcs and runs of path arcs, often
+    disconnected."""
+    n = draw(st.integers(1, 150))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex) | vertex.map(lambda i: (i, i + 1)),
+                         max_size=2 * n))
+    return _unit_graph(n, {(i, j) for i, j in arcs if i != j and j < n}, draw(st.booleans()))
+
+
+def _plain_hops(n, arcs):
+    # one breadth-first search per source
+    nbrs = [[] for _ in range(n)]
+    for i, j in arcs:
+        nbrs[i].append(j)
+    D = np.full((n, n), np.inf)
+    for s in range(n):
+        D[s, s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if D[s, v] == np.inf:
+                        D[s, v] = D[s, u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    return D
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graphs())
+@example(_unit_graph(130, {(i, i + 1) for i in range(129)}, False))  # a one-way path
+@example(_unit_graph(130, {(i, i + 1) for i in range(129) if i != 64}, True))
+def test_hop_distances_match_a_plain_bfs(case):
+    g, arcs = case
+    assert np.array_equal(g.distance_matrix(), _plain_hops(g.n, arcs))
+
+
 @settings(max_examples=50, deadline=None)
 @given(graphs())
 def test_derived_data_is_read_only(g):

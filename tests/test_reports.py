@@ -193,14 +193,21 @@ def oracle_csv(path, records):
             w.writerow([check, json.dumps(site), *values])
 
 
+def _written(write, path, *args):
+    # the bytes written, or the error: a check name holding a lone surrogate
+    # has no UTF-8 text in a CSV file, for the writer and the oracle alike
+    try:
+        write(path, *args)
+    except UnicodeEncodeError as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
 def _assert_writers_match_oracle(directory, records, config, summary):
-    write_jsonl(directory / "got.jsonl", records, config, summary)
-    oracle_jsonl(directory / "want.jsonl", records, config, summary)
-    write_csv(directory / "got.csv", records)
-    oracle_csv(directory / "want.csv", records)
-    for name in ("jsonl", "csv"):
-        got, want = (directory / f"{side}.{name}" for side in ("got", "want"))
-        assert got.read_bytes() == want.read_bytes(), name
+    for name, got, want, args in [("jsonl", write_jsonl, oracle_jsonl, (records, config, summary)),
+                                  ("csv", write_csv, oracle_csv, (records,))]:
+        assert _written(got, directory / f"got.{name}", *args) == _written(
+            want, directory / f"want.{name}", *args), name
 
 
 _NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
@@ -219,33 +226,47 @@ POOL = st.sampled_from([0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf,
                         1.0, 0.1, 1e-10])
 
 
-def _column(draw, n, values, dtype):
-    # n of values, n from POOL (for floats) or one value as a zero-stride broadcast
+def _column(draw, n, values, dtype, pool=POOL):
+    # n of values, n from pool (for floats) or one value as a zero-stride broadcast
     how = draw(st.sampled_from(["any", "pool", "broadcast"]))
     if how == "broadcast":
         return np.broadcast_to(np.array(draw(values), dtype=dtype), (n,))
     if how == "pool" and dtype is float:
-        values = POOL
+        values = pool
     return np.fromiter(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+
+def _objects(draw, n, values):
+    # n values, or one object n times
+    return [draw(values)] * n if draw(st.booleans()) else draw(
+        st.lists(values, min_size=n, max_size=n))
 
 
 @st.composite
 def records(draw, lengths):
     """A Reports record whose sites are a 1-d array of any values or lists,
     or a (rows, positions) array whose positions each hold values of one
-    kind; its other columns may repeat a few values or be broadcasts."""
+    kind; a site position may hold one object in every row, and the other
+    columns may repeat a few values or be broadcasts. Its rows may all pass
+    or all fail."""
     n = draw(lengths)
     k = draw(st.none() | st.integers(0, 3))
     if k is None:
-        sites = np.fromiter(draw(st.lists(ATOMS | st.lists(ATOMS, max_size=3),
-                                          min_size=n, max_size=n)), dtype=object)
+        sites = np.fromiter(_objects(draw, n, ATOMS | st.lists(ATOMS, max_size=3)),
+                            dtype=object)
     else:
-        kinds = [draw(st.sampled_from([TEXT, FLOATS, st.integers(), MIXED]))
-                 for _ in range(k)]
-        sites = np.array([[draw(kind) for kind in kinds] for _ in range(n)],
+        positions = [_objects(draw, n, draw(st.sampled_from([TEXT, FLOATS, st.integers(), MIXED])))
+                     for _ in range(k)]
+        sites = np.array([[p[i] for p in positions] for i in range(n)],
                          dtype=object).reshape(n, k)
     check = _column(draw, n, st.sampled_from(["a", "b"]) | TEXT, object)
     lhs, rhs, abs_tol, rel_tol = (_column(draw, n, FLOATS, float) for _ in range(4))
+    verdict = draw(st.sampled_from([None, True, False]))
+    if verdict is not None:  # lhs <= 0 <= rhs, or rhs <= 0 < 1 <= lhs, without tolerance
+        low, high = (_column(draw, n, st.floats(0, 1e300), float, st.sampled_from([0.0, 0.5, 1.0]))
+                     for _ in range(2))
+        lhs, rhs = (-low, high) if verdict else (high + 1.0, -low)
+        abs_tol = rel_tol = np.zeros(n)
     return Reports(check, sites, lhs, rhs, abs_tol, rel_tol, _column(draw, n, EXTRAS, object))
 
 
@@ -291,6 +312,44 @@ def test_writers_keep_values_that_are_equal_keys_apart(tmp_path):
         lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
     assert [line.split('"site": ')[1].split(",")[0] for line in lines[:3]] == ["1", "1.0", "true"]
     assert [line.count('"lhs": -0.0,') for line in lines[2:5]] == [0, 1, 1]
+
+
+_NAN_OTHER = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000002))[0]
+
+
+def test_writers_fold_a_site_position_only_if_it_holds_one_object(tmp_path):
+    # a list-site position becomes text of the row only when every row holds
+    # one object: 0.0 and -0.0, and 1, 1.0 and True, are equal but each is
+    # written as itself; NaNs of other payloads all write NaN
+    t = 0.5
+    zeros = site_reports("a", [[z, t] for z in [0.0, -0.0] * 3], 0.0, 1.0)
+    ones = site_reports("b", [[v, t, "w"] for v in [1, 1.0, True] * 2], 0.0, 1.0)
+    nans = site_reports("c", [[v, t] for v in [math.nan, _NAN_PAYLOAD, _NAN_OTHER] * 2],
+                        [math.nan, _NAN_PAYLOAD, _NAN_OTHER] * 2, 1.0)
+    assert [type(v) for v in ones.site[:3, 0]] == [int, float, bool]
+    for chunk in (2, 4, CHUNK_ROWS):
+        with mock.patch.object(reports_module, "CHUNK_ROWS", chunk):
+            _assert_writers_match_oracle(tmp_path, [zeros, ones, nans], {}, {})
+        lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
+        assert [line[:line.index(", 0.5")].split("[")[1] for line in lines[:12]] == [
+            "0.0", "-0.0"] * 3 + ["1", "1.0", "true"] * 2
+        assert all('"site": [NaN, 0.5], "lhs": NaN,' in line for line in lines[12:])
+
+
+def test_writers_fold_pass_columns_and_share_floats(tmp_path):
+    rows = np.arange(5.0)
+    passing = site_reports("p", ["x", "y", "z", "x", "y"], 0.0, rows / 3.0)
+    failing = site_reports("f", [["x", 1.0]] * 5, rows + 2.0, 1.0, 0.0, 0.0)
+    mixed = site_reports("m", [["x", 1.0]] * 5, rows, 2.0, 0.0, 0.0)
+    assert passing.passed.all() and not failing.passed.any()
+    assert mixed.passed.tolist() == [True, True, True, False, False]
+    # slack = rhs - 0.0 equals rhs bit for bit: one float text for both
+    assert passing.slack.tobytes() == passing.rhs.tobytes()
+    for chunk in (2, CHUNK_ROWS):
+        with mock.patch.object(reports_module, "CHUNK_ROWS", chunk):
+            _assert_writers_match_oracle(tmp_path, [passing, failing, mixed], {}, {})
+    lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
+    assert "".join(line.split('"pass": ')[1][0] for line in lines) == "tttttffffftttff"
 
 
 @pytest.mark.parametrize("graph", sorted((ROOT / "example_graphs").glob("*.json"))
