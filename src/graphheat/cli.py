@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import os
+import shutil
 import sys
 import zlib
 from statistics import NormalDist
@@ -85,33 +86,33 @@ def cmd_generate(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 def _run_suite(g, suite, times, seed, tol, n_funcs):
-    """One Reports per verifier call, in call order."""
+    """One Reports per verifier call, in call order, each made when asked for."""
     rng = np.random.default_rng((seed, zlib.crc32(suite.encode())))  # per suite
     pos_times = [t for t in times if t > 0]
     if suite == "volume":
-        return [estimates.verify_volume_growth(g, pos_times)]
-    if suite == "kernel-bounds":
-        out = []
-        for t in pos_times:
+        yield estimates.verify_volume_growth(g, pos_times)
+    elif suite == "kernel-bounds":
+        for t in pos_times:  # one kernel alive at a time
             kernel = semigroup.heat_kernel(g, t, tol=tol)
-            out += [verify(g, t, kernel=kernel) for verify in (
-                estimates.verify_kernel_upper, estimates.verify_kernel_lower,
-                estimates.verify_diagonal_lower)]
-        return out
-    # the function-sampling suites: one batch, one function per column
-    U = np.stack([estimates.sample_positive_function(g, rng)
-                  for _ in range(n_funcs)], axis=1)
-    if suite == "gradient":
-        res = np.max(np.abs(sqrt_identity_residual(g, U)), axis=0)
-        budget = 1e-12 * np.maximum(1.0, np.max(np.abs(laplacian(g, U)), axis=0))
-        return [estimates.gradient_estimate(g, U), reports.site_reports(
-            "sqrt_identity", ["max_residual"] * n_funcs, res, budget, 0.0, 0.0)]
-    if suite == "heat-gradient":
-        return [estimates.heat_gradient_estimate(g, U, pos_times)]
-    if suite == "previous":
-        return [estimates.prior_gradient_estimate(g, U)]
-    return [estimates.verify_harnack(g, U, pos_times,  # harnack
-                                     seed=int(rng.integers(2**32)))]
+            for verify in (estimates.verify_kernel_upper, estimates.verify_kernel_lower,
+                           estimates.verify_diagonal_lower):
+                yield verify(g, t, kernel=kernel)
+            del kernel
+    else:  # the function-sampling suites: one batch, one function per column
+        U = np.stack([estimates.sample_positive_function(g, rng)
+                      for _ in range(n_funcs)], axis=1)
+        if suite == "gradient":
+            yield estimates.gradient_estimate(g, U)
+            res = np.max(np.abs(sqrt_identity_residual(g, U)), axis=0)
+            budget = 1e-12 * np.maximum(1.0, np.max(np.abs(laplacian(g, U)), axis=0))
+            yield reports.site_reports("sqrt_identity", ["max_residual"] * n_funcs,
+                                       res, budget, 0.0, 0.0)
+        elif suite == "heat-gradient":
+            yield estimates.heat_gradient_estimate(g, U, pos_times)
+        elif suite == "previous":
+            yield estimates.prior_gradient_estimate(g, U)
+        else:  # harnack
+            yield estimates.verify_harnack(g, U, pos_times, seed=int(rng.integers(2**32)))
 
 
 def _unmet(g, suite, times):
@@ -126,6 +127,22 @@ def _unmet(g, suite, times):
     except estimates.HypothesisError as exc:
         return str(exc)
     return None
+
+
+def _stage(out):
+    """Make the empty file that out's new contents are written to before
+    os.replace moves it onto out: a hidden sibling with out's mode (or a new
+    file's), so making it checks that out can be written. A device such as
+    /dev/stdout is written in place: its stage is out itself."""
+    if os.path.exists(out):
+        open(out, "a").close()  # out itself must be writable
+        if not os.path.isfile(out):
+            return out
+    tmp = os.path.join(os.path.dirname(out), f".{os.path.basename(out)}.{os.urandom(4).hex()}")
+    open(tmp, "x").close()
+    if os.path.exists(out):
+        shutil.copymode(out, tmp)
+    return tmp
 
 
 def cmd_verify(args) -> int:
@@ -147,25 +164,35 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    created = bool(args.out) and not os.path.exists(args.out)
-    if args.out:
-        open(args.out, "a").close()  # an unwritable --out fails before any work
+    out = args.out and os.path.realpath(args.out)  # a symlink's target is replaced
+    path = out and _stage(out)  # an unwritable --out fails before any work
+    first_failure = []
+
+    def records():  # one Reports per verifier call; the run is never held whole
+        for suite in names:
+            if suite in skipped:
+                continue
+            for r in _run_suite(g, suite, args.times, args.seed, args.tol, args.n_funcs):
+                if not first_failure and not r.passed.all():
+                    i = int(np.argmin(r.passed))  # the first False
+                    first_failure.append(f"{r.check[i]} at {r.site[i:i + 1].tolist()[0]}")
+                yield r
+                del r  # let go of a record before the next one is made
     try:
-        # one Reports per verifier call; the whole run is never concatenated
-        records = [r for suite in names if suite not in skipped for r in _run_suite(
-            g, suite, args.times, args.seed, args.tol, args.n_funcs)]
-        config = {"graph": args.graph, "suites": names, "skipped": list(skipped),
-                  "times": list(args.times), "seed": args.seed, "tol": args.tol,
-                  "n_funcs": args.n_funcs}
-        summary = reports.summarize(records)
-        if args.out:
-            if args.format == "json":
-                reports.write_jsonl(args.out, records, config, summary)
-            else:
-                reports.write_csv(args.out, records)
+        if not out:
+            summary = reports.summarize(records())
+        elif args.format == "json":
+            config = {"graph": args.graph, "suites": names, "skipped": list(skipped),
+                      "times": list(args.times), "seed": args.seed, "tol": args.tol,
+                      "n_funcs": args.n_funcs}
+            summary = reports.write_jsonl(path, records(), config)
+        else:
+            summary = reports.write_csv(path, records())
+        if path != out:
+            os.replace(path, out)
     except BaseException:
-        if created:  # a crashed run leaves --out as it found it
-            os.remove(args.out)
+        if path != out:  # a crashed run leaves --out as it found it
+            os.remove(path)
         raise
     ok = True
     for check, s in sorted(summary.items()):
@@ -176,10 +203,7 @@ def cmd_verify(args) -> int:
     for suite, why in skipped.items():
         print(f"{suite}: skipped ({why})")
     if not ok:
-        r = next(r for r in records if not r.passed.all())
-        i = int(np.argmin(r.passed))  # the first False
-        print(f"first failure: {r.check[i]} at {r.site[i:i + 1].tolist()[0]}",
-              file=sys.stderr)
+        print(f"first failure: {first_failure[0]}", file=sys.stderr)
         return 1
     return 0
 

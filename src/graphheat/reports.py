@@ -5,7 +5,8 @@ import csv
 import io
 import json
 import operator
-from dataclasses import dataclass, fields
+from collections import deque
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -22,7 +23,8 @@ class Reports:
     """Verified inequalities lhs <= rhs, one row per site, as equal-length
     columns: float arrays lhs, rhs, abs_tol, rel_tol and object arrays check,
     extra (a dict or None) and site, 1-d or (rows, positions) for list sites.
-    A row passes when slack = rhs - lhs >= -(abs_tol + rel_tol * |rhs|).
+    A row passes when slack = rhs - lhs >= -(abs_tol + rel_tol * |rhs|); slack
+    and passed are computed once, when the record is made.
     """
 
     check: np.ndarray
@@ -32,17 +34,15 @@ class Reports:
     abs_tol: np.ndarray
     rel_tol: np.ndarray
     extra: np.ndarray
+    slack: np.ndarray = field(init=False)
+    passed: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.slack = self.rhs - self.lhs
+        self.passed = self.slack >= -(self.abs_tol + self.rel_tol * np.abs(self.rhs))
 
     def __len__(self) -> int:
         return len(self.check)
-
-    @property
-    def slack(self) -> np.ndarray:
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> np.ndarray:
-        return self.slack >= -(self.abs_tol + self.rel_tol * np.abs(self.rhs))
 
 
 def site_reports(check, sites, lhs, rhs, abs_tol=DEFAULT_ABS_TOL,
@@ -71,32 +71,46 @@ def concat(parts) -> Reports:
     """The rows of several Reports of one site layout, in order, as one."""
     parts = list(parts) or [site_reports("", [], [], [])]
     return Reports(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(Reports)))
+                     for f in fields(Reports) if f.init))
 
 
-def _records(reports) -> list:
-    # a Reports, or a sequence of them (the CLI keeps one per verifier call)
-    return [reports] if isinstance(reports, Reports) else list(reports)
+def _records(reports):
+    # a Reports, or any iterable of them, taken one record at a time (the CLI
+    # streams one per verifier call, so the whole run is never held)
+    return (reports,) if isinstance(reports, Reports) else reports
 
 
 def all_pass(reports) -> bool:
     return all(r.passed.all() for r in _records(reports))
 
 
+def _fold(summary, r) -> None:
+    # r's rows into summary, grouped by check name in first-seen order
+    names = r.check if r.check.strides[0] else r.check[:1]  # a broadcast: one group
+    for check in dict.fromkeys(names.tolist()):
+        # compared as objects: a str scalar would lose trailing NULs
+        rows = r.check == np.array(check, object) if names is r.check else slice(None)
+        low = float(r.slack[rows].min())
+        s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": low})
+        s["n"] += len(r.slack[rows])
+        s["n_pass"] += int(np.count_nonzero(r.passed[rows]))
+        s["min_slack"] = float(np.minimum(s["min_slack"], low))
+
+
+def _tally(reports, summary):
+    """Each record of reports in turn, after folding it into summary."""
+    for r in _records(reports):
+        _fold(summary, r)
+        yield r
+        del r  # let go of a record before the next one is made
+
+
 def summarize(reports) -> dict:
     """Pass counts and minimum slack grouped by check name, in the order the
-    checks first appear; a NaN slack makes its check's minimum NaN."""
+    checks first appear: {check: {"n", "n_pass", "min_slack"}}. A NaN slack
+    makes its check's minimum NaN."""
     summary = {}
-    for r in _records(reports):
-        slack, passed = r.slack, r.passed
-        names = r.check if r.check.strides[0] else r.check[:1]  # a broadcast: one group
-        for check in dict.fromkeys(names.tolist()):
-            rows = r.check == check if names is r.check else slice(None)
-            low = float(slack[rows].min())
-            s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": low})
-            s["n"] += len(slack[rows])
-            s["n_pass"] += int(np.count_nonzero(passed[rows]))
-            s["min_slack"] = float(np.minimum(s["min_slack"], low))
+    deque(_tally(reports, summary), maxlen=0)  # holds no record while the next is made
     return summary
 
 
@@ -158,24 +172,22 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
     site of k positions; reprs(floats) the texts of floats. A column whose rows
     all hold one object, or one float bit pattern, is text of the template; each
     other column fills a slot, CHUNK_ROWS rows at a time, before a chunk's join."""
-    def field(col, texts):
+    def piece(col, texts):
         return texts(col[:1])[0] if _same(col) else (texts, col)
 
-    for r in _records(reports):
-        if not len(r):
-            continue
+    def write(r):
         values = [np.asarray(f, float) for f in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)]
         floats = _floats([f for f in values if not _same(f)], reprs)
         if r.site.ndim == 2:
             start, sep, stop, texts = listed(r.site.shape[1])
-            sites = [start, *[x for p in r.site.T for x in (sep, field(p, texts))][1:], stop]
+            sites = [start, *[x for p in r.site.T for x in (sep, piece(p, texts))][1:], stop]
         else:
-            sites = [field(r.site, site)]
-        fields = [[field(r.check, check)], sites, *([field(f, floats)] for f in values[:3]),
-                  [field(r.passed, passed)], *([field(f, floats)] for f in values[3:])]
+            sites = [piece(r.site, site)]
+        fields = [[piece(r.check, check)], sites, *([piece(f, floats)] for f in values[:3]),
+                  [piece(r.passed, passed)], *([piece(f, floats)] for f in values[3:])]
         row = [""]  # text, slot, text, ..., slot, text
         for x in [x for key, items in zip(keys, fields) for x in (key, *items)] + (
-                [field(r.extra, extra)] if extra else []) + [end]:
+                [piece(r.extra, extra)] if extra else []) + [end]:
             if isinstance(x, str):
                 row[-1] += x
             else:
@@ -187,19 +199,28 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
                 rows[j::len(row)] = texts(col[i:i + CHUNK_ROWS])
             fh.write("".join(rows))
 
+    for r in _records(reports):
+        if len(r):
+            write(r)
+        del r  # let go of a record before the next one is made
 
-def write_jsonl(path, reports, config, summary) -> None:
-    """Write a config line, one report row per line and a summary footer
-    (the result of summarize(reports)). Every line is standalone JSON, and
-    the bytes are those of one json.dumps per line."""
+
+def write_jsonl(path, reports, config) -> dict:
+    """Write a config line, one report row per line and a summary footer, and
+    return the summary: summarize(reports), folded while the rows are written.
+    Every line is standalone JSON, and the bytes are those of one json.dumps
+    per line."""
     dumps = _texts(json.dumps)
     keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
+    summary = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config}) + "\n")
-        _write(fh, reports, keys, "}\n", dumps, dumps, lambda k: ("[", ", ", "]", dumps), dumps,
+        _write(fh, _tally(reports, summary), keys, "}\n", dumps, dumps,
+               lambda k: ("[", ", ", "]", dumps), dumps,
                lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
                _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
         fh.write(json.dumps({"summary": summary}) + "\n")
+    return summary
 
 
 def _csv_field(value) -> str:
@@ -209,9 +230,10 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-3]
 
 
-def write_csv(path, reports) -> None:
+def write_csv(path, reports) -> dict:
     """One CSV row per report row in FIELDS order, without extra; the site
-    column holds the site's JSON text. The bytes are those of csv.writer."""
+    column holds the site's JSON text. The bytes are those of csv.writer.
+    Returns summarize(reports), folded while the rows are written."""
     inner = _texts(lambda v: json.dumps(v).replace('"', '""'))  # in a quoted field
     single = _texts(lambda v: _csv_field(f"[{json.dumps(v)}]"))
 
@@ -219,8 +241,10 @@ def write_csv(path, reports) -> None:
         if k > 1:
             return '"[', ", ", ']"', inner
         return ("", "", "", single) if k else ("[", "", "]", None)
+    summary = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(FIELDS)
-        _write(fh, reports, ["", *","*7], "\r\n", _texts(_csv_field),
+        _write(fh, _tally(reports, summary), ["", *","*7], "\r\n", _texts(_csv_field),
                _texts(lambda v: _csv_field(json.dumps(v))), listed, _texts(str),
                lambda v: list(map(float.__repr__, v.tolist())))
+    return summary

@@ -2,14 +2,17 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphheat import cli, heat_kernel, load_graph, reports, simulate
+from graphheat import (cli, generate, heat_kernel, load_graph, reports, save_graph,
+                       simulate)
 from graphheat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -355,6 +358,80 @@ def test_crashed_verify_leaves_out_as_it_found_it(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         run([*argv, "--out", out])
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_crashed_in_its_last_suite_leaves_out_as_it_found_it(
+        tmp_path, monkeypatch, fmt):
+    # rows are written as the suites run, so by the time the last suite dies
+    # the earlier suites' rows are on disk, in a temporary sibling of --out
+    run_suite, written = cli._run_suite, []
+
+    def crash_last(g, suite, *args):
+        if suite == cli.SUITES[-1]:
+            written.extend((p.name, p.stat().st_size) for p in out.parent.iterdir())
+            raise RuntimeError("last suite crashed")
+        yield from run_suite(g, suite, *args)
+    monkeypatch.setattr(cli, "_run_suite", crash_last)
+    out = tmp_path / "reports" / "r.out"
+    out.parent.mkdir()
+    argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+            "--format", fmt, "--out", out]
+    with pytest.raises(RuntimeError):
+        run(argv)
+    (tmp, size), = [w for w in written if w[0] != out.name]
+    assert tmp.startswith(f".{out.name}.") and size > 0
+    assert list(out.parent.iterdir()) == []
+    out.write_bytes(b"kept\r\n")
+    with pytest.raises(RuntimeError):
+        run(argv)
+    assert out.read_bytes() == b"kept\r\n"
+    assert list(out.parent.iterdir()) == [out]
+
+
+def test_verify_out_replaces_a_symlink_target_and_writes_a_device(tmp_path, monkeypatch):
+    graph = ROOT / "example_graphs" / "grid3x3.json"
+    argv = ["verify", "--graph", graph, "--suite", "gradient", "--n-funcs", "2"]
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    assert run([*argv, "--out", link]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    plain, fresh = tmp_path / "plain.jsonl", tmp_path / "fresh"
+    assert run([*argv, "--out", plain]) == 0
+    assert target.read_bytes() == plain.read_bytes()
+    fresh.touch()  # a new --out gets the mode of any new file
+    assert plain.stat().st_mode == fresh.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "link.jsonl",
+                                                          "plain.jsonl", "target.jsonl"]
+
+    # a device is written in place, never replaced by a file
+    def no_replace(*args):
+        raise AssertionError("a device was replaced")
+    monkeypatch.setattr(os, "replace", no_replace)
+    assert run([*argv, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_verify_holds_one_kernel_at_a_time(tmp_path):
+    # the traced peak of --suite kernel-bounds does not grow with the number
+    # of times: each kernel's records are written and let go before the next
+    graph = tmp_path / "grid8.json"
+    save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
+
+    def peak(times):
+        tracemalloc.start()
+        try:
+            assert run(["verify", "--graph", graph, "--suite", "kernel-bounds",
+                        "--t", times, "--out", tmp_path / "r.jsonl"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak("1")  # warm-up: imports and first-call caches
+    one, six = peak("1"), peak("0.5,1,1.5,2,2.5,3")
+    assert six <= 1.25 * one, (one, six)
 
 
 @pytest.mark.parametrize("sites, shown", [

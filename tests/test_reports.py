@@ -56,6 +56,10 @@ def test_summarize_groups_interleaved_checks_in_first_seen_order():
                     site_reports("b", [1], 0.5, 1.0)])
     assert list(summarize(mixed)) == ["b", "a"]
     assert summarize(mixed)["b"] == {"n": 2, "n_pass": 2, "min_slack": 0.5}
+    # names that differ only by a trailing NUL are two checks
+    nul = concat([site_reports("a", [0], 0.0, 1.0), site_reports("a\x00", [0], 2.0, 1.0)])
+    assert summarize(nul) == {"a": {"n": 1, "n_pass": 1, "min_slack": 1.0},
+                              "a\x00": {"n": 1, "n_pass": 0, "min_slack": -1.0}}
     assert not all_pass(mixed) and all_pass([])
 
 
@@ -122,7 +126,7 @@ def test_write_jsonl_layout(tmp_path):
     reports = _sample()
     path = tmp_path / "r.jsonl"
     config = {"seed": 3}
-    write_jsonl(path, reports, config, summarize(reports))
+    assert write_jsonl(path, reports, config) == summarize(reports)
     lines = [json.loads(s) for s in path.read_text().splitlines()]
     assert lines[0] == {"config": config}
     assert lines[1:-1] == [
@@ -140,9 +144,19 @@ def test_write_jsonl_layout(tmp_path):
         same = [site_reports("a", sites[0], 0.25, 1.0),
                 site_reports("b", sites[1], 2.0, 1.0, extras=[{"note": True}])]
         two, one = tmp_path / "two.jsonl", tmp_path / "one.jsonl"
-        write_jsonl(two, same, config, summarize(same))
-        write_jsonl(one, concat(same), config, summarize(same))
+        write_jsonl(two, same, config)
+        write_jsonl(one, concat(same), config)
         assert one.read_bytes() == two.read_bytes()
+
+
+def test_summarize_and_writers_take_a_one_shot_generator(tmp_path):
+    recs = [*_sample(), site_reports("a", [["z", 1.5]], 3.0, 1.0)]
+    assert summarize(r for r in recs) == summarize(recs)
+    for name, write, args in [("jsonl", write_jsonl, ({"seed": 1},)), ("csv", write_csv, ())]:
+        listed, once = tmp_path / f"listed.{name}", tmp_path / f"once.{name}"
+        assert write(once, (r for r in recs), *args) == write(listed, recs, *args) \
+            == summarize(recs)
+        assert once.read_bytes() == listed.read_bytes(), name
 
 
 def test_concat_rejects_records_of_different_site_layouts():
@@ -157,7 +171,7 @@ def test_concat_rejects_records_of_different_site_layouts():
 def test_csv_header_is_json_key_order(tmp_path):
     reports = _sample()
     path = tmp_path / "r.csv"
-    write_csv(path, reports)
+    assert write_csv(path, reports) == summarize(reports)
     rows = list(csv.reader(path.open(newline="")))
     assert tuple(rows[0]) == FIELDS
     assert rows[1:] == [
@@ -176,7 +190,8 @@ def _oracle_rows(records):
                        r.abs_tol.tolist(), r.rel_tol.tolist(), r.extra.tolist())
 
 
-def oracle_jsonl(path, records, config, summary):
+def oracle_jsonl(path, records, config):
+    summary = summarize(records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config}) + "\n")
         for *row, extra in _oracle_rows(records):
@@ -203,8 +218,8 @@ def _written(write, path, *args):
     return path.read_bytes()
 
 
-def _assert_writers_match_oracle(directory, records, config, summary):
-    for name, got, want, args in [("jsonl", write_jsonl, oracle_jsonl, (records, config, summary)),
+def _assert_writers_match_oracle(directory, records, config):
+    for name, got, want, args in [("jsonl", write_jsonl, oracle_jsonl, (records, config)),
                                   ("csv", write_csv, oracle_csv, (records,))]:
         assert _written(got, directory / f"got.{name}", *args) == _written(
             want, directory / f"want.{name}", *args), name
@@ -277,12 +292,11 @@ def test_writers_match_one_json_dumps_per_row(tmp_path, data):
     # chunk sizes drawn small, so records of 0, 1, chunk and chunk + 1 rows stay
     # cheap; the next test uses the writers' own CHUNK_ROWS
     chunk = data.draw(st.sampled_from([1, 2, 3, 5]))
-    recs = data.draw(st.lists(records(st.sampled_from([0, 1, chunk, chunk + 1])),
-                              max_size=3))
-    with mock.patch.object(reports_module, "CHUNK_ROWS", chunk), \
-            np.errstate(invalid="ignore", over="ignore"):  # inf - inf and the like
-        _assert_writers_match_oracle(tmp_path, recs, {"seed": 0},
-                                     {"c": {"n": 1, "min_slack": math.nan}})
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and the like
+        recs = data.draw(st.lists(records(st.sampled_from([0, 1, chunk, chunk + 1])),
+                                  max_size=3))
+        with mock.patch.object(reports_module, "CHUNK_ROWS", chunk):
+            _assert_writers_match_oracle(tmp_path, recs, {"seed": 0})
 
 
 @pytest.mark.parametrize("n", [CHUNK_ROWS, CHUNK_ROWS + 1])
@@ -297,7 +311,7 @@ def test_writers_match_one_json_dumps_per_row_at_the_chunk_size(tmp_path, n):
     empty = site_reports("c", [[] for _ in range(n)], rows * 0.5, 1.0)
     assert lists.site.shape == (n, 3) and empty.site.shape == (n, 0)
     recs = [mixed, lists, empty]
-    _assert_writers_match_oracle(tmp_path, recs, {}, summarize(recs))
+    _assert_writers_match_oracle(tmp_path, recs, {})
 
 
 def test_writers_keep_values_that_are_equal_keys_apart(tmp_path):
@@ -308,7 +322,7 @@ def test_writers_keep_values_that_are_equal_keys_apart(tmp_path):
     uniform = site_reports("b", [[k, "v"] for k in kinds for _ in range(3)],
                            [-0.0] * 3 + [0.0] * 6, [0.0] * 6 + [-0.0] * 3)
     with mock.patch.object(reports_module, "CHUNK_ROWS", 3):
-        _assert_writers_match_oracle(tmp_path, [mixed, uniform], {}, {})
+        _assert_writers_match_oracle(tmp_path, [mixed, uniform], {})
         lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
     assert [line.split('"site": ')[1].split(",")[0] for line in lines[:3]] == ["1", "1.0", "true"]
     assert [line.count('"lhs": -0.0,') for line in lines[2:5]] == [0, 1, 1]
@@ -329,7 +343,7 @@ def test_writers_fold_a_site_position_only_if_it_holds_one_object(tmp_path):
     assert [type(v) for v in ones.site[:3, 0]] == [int, float, bool]
     for chunk in (2, 4, CHUNK_ROWS):
         with mock.patch.object(reports_module, "CHUNK_ROWS", chunk):
-            _assert_writers_match_oracle(tmp_path, [zeros, ones, nans], {}, {})
+            _assert_writers_match_oracle(tmp_path, [zeros, ones, nans], {})
         lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
         assert [line[:line.index(", 0.5")].split("[")[1] for line in lines[:12]] == [
             "0.0", "-0.0"] * 3 + ["1", "1.0", "true"] * 2
@@ -347,7 +361,7 @@ def test_writers_fold_pass_columns_and_share_floats(tmp_path):
     assert passing.slack.tobytes() == passing.rhs.tobytes()
     for chunk in (2, CHUNK_ROWS):
         with mock.patch.object(reports_module, "CHUNK_ROWS", chunk):
-            _assert_writers_match_oracle(tmp_path, [passing, failing, mixed], {}, {})
+            _assert_writers_match_oracle(tmp_path, [passing, failing, mixed], {})
     lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
     assert "".join(line.split('"pass": ')[1][0] for line in lines) == "tttttffffftttff"
 
@@ -360,10 +374,11 @@ def test_verify_reports_match_one_json_dumps_per_row(tmp_path, monkeypatch, grap
         save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
     seen = []
 
-    def keep(path, records, config, summary):
-        seen.append((records, config, summary))
+    def keep(path, records, config):
+        seen.append((list(records), config))
+        return summarize(seen[-1][0])
     monkeypatch.setattr(reports_module, "write_jsonl", keep)
     assert cli.main(["verify", "--graph", str(graph), "--suite", "all",
                      "--seed", "0", "--out", str(tmp_path / "r.jsonl")]) == 0
-    (records, config, summary), = seen
-    _assert_writers_match_oracle(tmp_path, records, config, summary)
+    (records, config), = seen
+    _assert_writers_match_oracle(tmp_path, records, config)
