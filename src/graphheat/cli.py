@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import shutil
+import stat
 import sys
 import zlib
 from statistics import NormalDist
@@ -130,19 +131,37 @@ def _unmet(g, suite, times):
 
 
 def _stage(out):
-    """Make the empty file that out's new contents are written to before
-    os.replace moves it onto out: a hidden sibling with out's mode (or a new
-    file's), so making it checks that out can be written. A device such as
-    /dev/stdout is written in place: its stage is out itself."""
-    if os.path.exists(out):
+    """(target, stage): the report is written to stage, made empty here so an
+    unwritable out fails before any work, and os.replace moves it onto target
+    after the footer. A regular or new file (a symlink's target) is staged in a
+    hidden sibling with its mode (or a new file's); anything else, such as a
+    pipe, a device or the file this process's stdout or stderr is, is written
+    in place: target and stage are out itself."""
+    try:
+        st = os.stat(out)  # through any symlinks
+    except FileNotFoundError:
+        st = None
+    if st:
         open(out, "a").close()  # out itself must be writable
-        if not os.path.isfile(out):
-            return out
-    tmp = os.path.join(os.path.dirname(out), f".{os.path.basename(out)}.{os.urandom(4).hex()}")
+        if not stat.S_ISREG(st.st_mode) or any(_is_fd(st, fd) for fd in (1, 2)):
+            return out, out
+    target = os.path.realpath(out)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}")
     open(tmp, "x").close()
-    if os.path.exists(out):
-        shutil.copymode(out, tmp)
-    return tmp
+    try:
+        if st:
+            shutil.copymode(target, tmp)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return target, tmp
+
+
+def _is_fd(st, fd) -> bool:
+    try:
+        return os.path.samestat(st, os.fstat(fd))
+    except OSError:  # fd is closed
+        return False
 
 
 def cmd_verify(args) -> int:
@@ -164,8 +183,6 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out and os.path.realpath(args.out)  # a symlink's target is replaced
-    path = out and _stage(out)  # an unwritable --out fails before any work
     first_failure = []
 
     def records():  # one Reports per verifier call; the run is never held whole
@@ -178,7 +195,10 @@ def cmd_verify(args) -> int:
                     first_failure.append(f"{r.check[i]} at {r.site[i:i + 1].tolist()[0]}")
                 yield r
                 del r  # let go of a record before the next one is made
+    out = path = None
     try:
+        if args.out:
+            out, path = _stage(args.out)
         if not out:
             summary = reports.summarize(records())
         elif args.format == "json":

@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import operator
-from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -110,7 +109,9 @@ def summarize(reports) -> dict:
     checks first appear: {check: {"n", "n_pass", "min_slack"}}. A NaN slack
     makes its check's minimum NaN."""
     summary = {}
-    deque(_tally(reports, summary), maxlen=0)  # holds no record while the next is made
+    for r in _records(reports):
+        _fold(summary, r)
+        del r  # let go of a record before the next one is made
     return summary
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -413,6 +414,68 @@ def test_verify_out_replaces_a_symlink_target_and_writes_a_device(tmp_path, monk
     monkeypatch.setattr(os, "replace", no_replace)
     assert run([*argv, "--out", os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("mode", ["pipe", "file"])
+def test_verify_out_dev_stdout_writes_stdout_in_place(tmp_path, mode):
+    # /dev/stdout links to /proc/self/fd/1: a pipe there has no path to stage
+    # beside, and a regular file there must not be replaced, or the summary
+    # printed after the report would go to the replaced file
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+            "--suite", "gradient", "--n-funcs", "2"]
+    assert run([*argv, "--out", tmp_path / "r.jsonl"]) == 0
+    report = (tmp_path / "r.jsonl").read_bytes()
+    cmd = [sys.executable, "-m", "graphheat.cli", *map(str, argv), "--out", "/dev/stdout"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if mode == "pipe":
+        done = subprocess.run(cmd, stdout=subprocess.PIPE, env=env)
+        got = done.stdout
+    else:  # appended to, so the summary lands after the report
+        log = tmp_path / "stdout.txt"
+        with open(log, "ab") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            done = subprocess.run(cmd, stdout=fh, env=env)
+        assert log.stat().st_ino == inode
+        got = log.read_bytes()
+    assert done.returncode == 0
+    assert got.startswith(report) and b"gradient_estimate: " in got[len(report):]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl", *(["stdout.txt"] * (mode == "file"))]
+
+
+def test_verify_out_is_a_new_file_beside_the_old_one(tmp_path, monkeypatch):
+    # os.replace moves a new file onto --out: a hard link keeps the old report
+    argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+            "--suite", "gradient", "--n-funcs", "2", "--out"]
+    out, alias = tmp_path / "r.jsonl", tmp_path / "alias.jsonl"
+    out.write_text("old\n")
+    os.link(out, alias)
+    assert run([*argv, out]) == 0
+    assert alias.read_text() == "old\n" and out.read_text().startswith('{"config": ')
+
+    # a stage that cannot take --out's mode is removed, and --out is kept
+    def fail(*args):
+        raise PermissionError("no mode")
+    monkeypatch.setattr(shutil, "copymode", fail)
+    assert run([*argv, out]) == 2
+    assert alias.read_text() == "old\n" and out.read_bytes() != alias.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.jsonl", "r.jsonl"]
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                    reason="needs POSIX permissions that bind the user")
+def test_verify_out_in_a_read_only_directory_exits_2(tmp_path):
+    # the stage is made beside --out, so --out's directory must be writable
+    out = tmp_path / "r.jsonl"
+    out.write_text("old\n")
+    tmp_path.chmod(0o555)
+    try:
+        assert run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                    "--out", out]) == 2
+    finally:
+        tmp_path.chmod(0o755)
+    assert out.read_text() == "old\n" and list(tmp_path.iterdir()) == [out]
 
 
 def test_verify_holds_one_kernel_at_a_time(tmp_path):
