@@ -8,13 +8,16 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
 import shutil
 import stat
 import sys
+import tempfile
 import zlib
+from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -26,6 +29,10 @@ from .calculus import laplacian, sqrt_identity_residual
 
 SUITES = ("gradient", "heat-gradient", "previous", "harnack",
           "kernel-bounds", "volume")
+LONGEST_FIRST = ("kernel-bounds", "harnack", "heat-gradient", "previous",
+                 "gradient", "volume")  # the order units start in on a pool
+NEEDS_HOPS = ("harnack", "kernel-bounds", "volume")
+POOL_MIN_VERTICES = 64  # on a smaller graph a fork costs about what the suites take
 
 DEFAULT_TIMES = (0.1, 1.0, 10.0)
 DEFAULT_N_FUNCS = 20
@@ -130,31 +137,52 @@ def _unmet(g, suite, times):
     return None
 
 
-def _stage(out):
-    """(target, stage): the report is written to stage, made empty here so an
-    unwritable out fails before any work, and os.replace moves it onto target
-    after the footer. A regular or new file (a symlink's target) is staged in a
-    hidden sibling with its mode (or a new file's); anything else, such as a
-    pipe, a device or the file this process's stdout or stderr is, is written
-    in place: target and stage are out itself."""
-    try:
-        st = os.stat(out)  # through any symlinks
-    except FileNotFoundError:
-        st = None
-    if st:
-        open(out, "a").close()  # out itself must be writable
-        if not stat.S_ISREG(st.st_mode) or any(_is_fd(st, fd) for fd in (1, 2)):
-            return out, out
-    target = os.path.realpath(out)
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}")
-    open(tmp, "x").close()
-    try:
+class _Staged:
+    """(target, stage) of a report to out, or (None, None) without out, as a
+    context. stage is made empty here, so an unwritable out fails before any
+    work; on exit os.replace moves it onto target, and if the block raised it is
+    removed, so a crashed run leaves out as it found it. A regular or new file (a
+    symlink's target) is staged in a hidden sibling with its mode (or a new
+    file's); anything else, such as a pipe, a device or the file this process's
+    stdout or stderr is, is written in place: target and stage are out itself."""
+
+    def __init__(self, out):
+        self.target = self.stage = out or None
+        if not out:
+            return
+        try:
+            st = os.stat(out)  # through any symlinks
+        except FileNotFoundError:
+            st = None
         if st:
-            shutil.copymode(target, tmp)
-    except BaseException:
-        os.remove(tmp)
-        raise
-    return target, tmp
+            open(out, "a").close()  # out itself must be writable
+            if not stat.S_ISREG(st.st_mode) or any(_is_fd(st, fd) for fd in (1, 2)):
+                return
+        self.target = os.path.realpath(out)
+        self.stage = os.path.join(os.path.dirname(self.target),
+                                  f".{os.path.basename(self.target)}.{os.urandom(4).hex()}")
+        open(self.stage, "x").close()
+        try:
+            if st:
+                shutil.copymode(self.target, self.stage)
+        except BaseException:
+            os.remove(self.stage)
+            raise
+
+    def __enter__(self):
+        return self.target, self.stage
+
+    def __exit__(self, kind, *_):
+        if self.stage == self.target:
+            return
+        replaced = False
+        try:
+            if kind is None:
+                os.replace(self.stage, self.target)
+                replaced = True
+        finally:
+            if not replaced:
+                os.remove(self.stage)
 
 
 def _is_fd(st, fd) -> bool:
@@ -162,6 +190,83 @@ def _is_fd(st, fd) -> bool:
         return os.path.samestat(st, os.fstat(fd))
     except OSError:  # fd is closed
         return False
+
+
+def _units(names, times):
+    """(suite, times) of each unit of work, in report order: a suite, or for
+    kernel-bounds one positive time, whose records _run_suite yields alone."""
+    kernel = [("kernel-bounds", (t,)) for t in times if t > 0]
+    return [u for s in names for u in (kernel if s == "kernel-bounds" else [(s, times)])]
+
+
+def _unit_records(g, args, unit, failure):
+    """The Reports of one unit in turn; the first failing row's text is
+    appended to the list failure if it is empty."""
+    for r in _run_suite(g, unit[0], unit[1], args.seed, args.tol, args.n_funcs):
+        if not failure and not r.passed.all():
+            i = int(np.argmin(r.passed))  # the first False
+            failure.append(f"{r.check[i]} at {r.site[i:i + 1].tolist()[0]}")
+        yield r
+        del r  # let go of a record before the next one is made
+
+
+def _workers(g, units) -> int:
+    """Processes to run the units in: one per CPU this process may run on, at
+    most one per unit; 1 (inline) on a small graph or without
+    os.sched_getaffinity."""
+    if g.n < POOL_MIN_VERTICES or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(units))
+
+
+_pooled = None  # (graph, args, units, part files or None), in a pool worker
+
+
+def _start_worker(*state) -> None:
+    global _pooled
+    _pooled = state
+
+
+def _submit(workers, g, args, units, parts):
+    """A pool of forked workers, which inherit g, args, units and parts, and
+    each unit's future on it in report order. The units start longest first;
+    a kernel at a later time takes more series terms."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_start_worker,
+                               initargs=(g, args, units, parts))
+    futures = [None] * len(units)
+    try:
+        for i in sorted(range(len(units)), key=lambda i: (LONGEST_FIRST.index(units[i][0]),
+                                                          -max(units[i][1]))):
+            futures[i] = pool.submit(_run_unit, i)
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    return pool, futures
+
+
+def _run_unit(i):
+    """In a pool worker: write unit i's rows to its part file (if there are
+    parts) and return (summary, [first failure] or [])."""
+    g, args, units, parts = _pooled
+    failure = []
+    records = _unit_records(g, args, units[i], failure)
+    if parts is None:
+        return reports.summarize(records), failure
+    with reports.open_report(parts[i].fileno()) as fh:
+        write_rows = reports.write_jsonl_rows if args.format == "json" else reports.write_csv_rows
+        return write_rows(fh, records), failure
+
+
+def _parts(futures, parts, failure):
+    """Each unit's reports.Part in report order, as its worker finishes it;
+    failure gets the first failing row of the first unit that has one."""
+    for i, future in enumerate(futures):
+        summary, unit_failure = future.result()
+        if not failure:
+            failure += unit_failure
+        yield reports.Part(parts and parts[i], summary)
 
 
 def cmd_verify(args) -> int:
@@ -183,37 +288,37 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    first_failure = []
-
-    def records():  # one Reports per verifier call; the run is never held whole
-        for suite in names:
-            if suite in skipped:
-                continue
-            for r in _run_suite(g, suite, args.times, args.seed, args.tol, args.n_funcs):
-                if not first_failure and not r.passed.all():
-                    i = int(np.argmin(r.passed))  # the first False
-                    first_failure.append(f"{r.check[i]} at {r.site[i:i + 1].tolist()[0]}")
-                yield r
-                del r  # let go of a record before the next one is made
-    out = path = None
-    try:
-        if args.out:
-            out, path = _stage(args.out)
-        if not out:
-            summary = reports.summarize(records())
-        elif args.format == "json":
-            config = {"graph": args.graph, "suites": names, "skipped": list(skipped),
-                      "times": list(args.times), "seed": args.seed, "tol": args.tol,
-                      "n_funcs": args.n_funcs}
-            summary = reports.write_jsonl(path, records(), config)
-        else:
-            summary = reports.write_csv(path, records())
-        if path != out:
-            os.replace(path, out)
-    except BaseException:
-        if path != out:  # a crashed run leaves --out as it found it
-            os.remove(path)
-        raise
+    units = _units([s for s in names if s not in skipped], args.times)
+    failure, pool, parts = [], None, None
+    with _Staged(args.out) as (out, path):
+        try:
+            if any(suite in NEEDS_HOPS for suite, _ in units):
+                g.distance_matrix()  # once, before any fork
+            workers = _workers(g, units)
+            if workers > 1:
+                if out:
+                    parts = [tempfile.TemporaryFile(dir=os.path.dirname(path) if path != out else None)
+                             for _ in units]
+                pool, futures = _submit(workers, g, args, units, parts)
+                records = _parts(futures, parts, failure)
+            else:
+                # chained, as a generator expression would hold each record while
+                # the next is made
+                records = chain.from_iterable(_unit_records(g, args, unit, failure) for unit in units)
+            if not out:
+                summary = reports.summarize(records)
+            elif args.format == "json":
+                config = {"graph": args.graph, "suites": names, "skipped": list(skipped),
+                          "times": list(args.times), "seed": args.seed, "tol": args.tol,
+                          "n_funcs": args.n_funcs}
+                summary = reports.write_jsonl(path, records, config)
+            else:
+                summary = reports.write_csv(path, records)
+        finally:
+            if pool:  # units not started are dropped; the workers are joined
+                pool.shutdown(cancel_futures=True)
+            for part in parts or ():
+                part.close()
     ok = True
     for check, s in sorted(summary.items()):
         status = "pass" if s["n_pass"] == s["n"] else "FAIL"
@@ -223,7 +328,7 @@ def cmd_verify(args) -> int:
     for suite, why in skipped.items():
         print(f"{suite}: skipped ({why})")
     if not ok:
-        print(f"first failure: {first_failure[0]}", file=sys.stderr)
+        print(f"first failure: {failure[0]}", file=sys.stderr)
         return 1
     return 0
 
@@ -237,31 +342,29 @@ def cmd_kernel(args) -> int:
     z = NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
     rows = []
     consistent = True
-    for t in args.times:
-        kernel = semigroup.heat_kernel(g, t, tol=args.tol)
-        for i, x in enumerate(g.ids):
-            p = kernel.matrix[i].tolist()
-            if not args.mc:
-                rows.extend([t, x, y, p[j]] for j, y in enumerate(g.ids))
-                continue
-            sub_seed = args.seed ^ zlib.crc32(f"{t}:{x}".encode())
-            est = walk.simulate(g, x, t, args.mc, seed=sub_seed)
-            flags = est.consistent_with(kernel.matrix[i], n_sigma=z)
-            consistent = consistent and bool(flags.all())
-            p_hat, hw = est.p_hat.tolist(), est.half_width.tolist()
-            rows.extend([t, x, y, p[j], p_hat[j], hw[j], args.mc, sub_seed]
-                        for j, y in enumerate(g.ids))
-    header = ["t", "x", "y", "p"]
-    if args.mc:
-        header += ["p_hat", "half_width", "n_walks", "seed"]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    with _Staged(args.out) as (_, path):
+        for t in args.times:
+            kernel = semigroup.heat_kernel(g, t, tol=args.tol)
+            for i, x in enumerate(g.ids):
+                p = kernel.matrix[i].tolist()
+                if not args.mc:
+                    rows.extend([t, x, y, p[j]] for j, y in enumerate(g.ids))
+                    continue
+                sub_seed = args.seed ^ zlib.crc32(f"{t}:{x}".encode())
+                est = walk.simulate(g, x, t, args.mc, seed=sub_seed)
+                flags = est.consistent_with(kernel.matrix[i], n_sigma=z)
+                consistent = consistent and bool(flags.all())
+                p_hat, hw = est.p_hat.tolist(), est.half_width.tolist()
+                rows.extend([t, x, y, p[j], p_hat[j], hw[j], args.mc, sub_seed]
+                            for j, y in enumerate(g.ids))
+        header = ["t", "x", "y", "p"]
+        if args.mc:
+            header += ["p_hat", "half_width", "n_walks", "seed"]
+        with open(path, "w", newline="", encoding="utf-8") if path else \
+                contextlib.nullcontext(sys.stdout) as out:
+            w = csv.writer(out)
+            w.writerow(header)
+            w.writerows(rows)
     if args.mc:
         verdict = "consistent" if consistent else "INCONSISTENT"
         print(f"monte-carlo vs series: {verdict} (family-wise alpha "

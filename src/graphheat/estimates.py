@@ -55,6 +55,23 @@ def _sites(*positions):
     return np.column_stack(np.broadcast_arrays(*(np.asarray(p, object) for p in positions)))
 
 
+def _pair_sites(ids, t, mask=None):
+    """(pairs, 3) object array of the sites [x, y, t] of every pair of ids, or of
+    the pairs where the n x n mask holds, in row-major order; t is one shared
+    object. Filled column by column, with no n^2 temporary beyond the mask's
+    selection of one column."""
+    n = len(ids)
+    if mask is None:
+        sites = np.empty((n, n, 3), object)
+        sites[:, :, 0], sites[:, :, 1], sites[:, :, 2] = ids[:, None], ids, t
+        return sites.reshape(n * n, 3)
+    sites = np.empty((np.count_nonzero(mask), 3), object)
+    for k, column in enumerate((ids[:, None], ids)):
+        sites[:, k] = np.broadcast_to(column, mask.shape)[mask]
+    sites[:, 2] = t
+    return sites
+
+
 def gradient_lhs(g: WeightedGraph, u) -> np.ndarray:
     """Gamma(sqrt u)(x)/u(x) - (Lu)(x)/(2 u(x)) per vertex.
 
@@ -291,8 +308,7 @@ def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None):
     if kernel is None:
         kernel = heat_kernel(g, t)
     bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids]
-    return site_reports("kernel_upper",
-                        _sites(np.repeat(g.ids, g.n), np.tile(g.ids, g.n), t),
+    return site_reports("kernel_upper", _pair_sites(g.ids, t),
                         kernel.matrix.ravel(), np.repeat(bound, g.n))
 
 
@@ -319,10 +335,11 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None):
     if kernel is None:
         kernel = heat_kernel(g, t)
     D = g.distance_matrix()
-    bound = _kernel_lower_form(g.constants(), D, t, g.degrees)
-    I, J = np.nonzero(np.isfinite(D))  # row-major order
-    return site_reports("kernel_lower", _sites(g.ids[I], g.ids[J], t),
-                        bound[I, J], kernel.matrix[I, J])
+    reached = np.isfinite(D)  # the pairs checked, in row-major order
+    return site_reports("kernel_lower", _pair_sites(g.ids, t, None if reached.all() else reached),
+                        _kernel_lower_form(g.constants(), D[reached], t,
+                                           np.broadcast_to(g.degrees, D.shape)[reached]),
+                        kernel.matrix[reached])
 
 
 def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None):

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import operator
+import os
+import shutil
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -73,9 +75,20 @@ def concat(parts) -> Reports:
                      for f in fields(Reports) if f.init))
 
 
+@dataclass(slots=True, eq=False)
+class Part:
+    """Rows already written, in the format of the writer that meets it, at the
+    start of the binary file `file` (None when only summarized), and their
+    summary. Summarize and the writers take it in place of its records: its
+    summary is merged, and its bytes copied."""
+
+    file: object
+    summary: dict
+
+
 def _records(reports):
-    # a Reports, or any iterable of them, taken one record at a time (the CLI
-    # streams one per verifier call, so the whole run is never held)
+    # a Reports, or any iterable of Reports and Parts, taken one at a time (the
+    # CLI streams one per verifier call, so the whole run is never held)
     return (reports,) if isinstance(reports, Reports) else reports
 
 
@@ -83,17 +96,29 @@ def all_pass(reports) -> bool:
     return all(r.passed.all() for r in _records(reports))
 
 
+def merge_summary(summary, part) -> None:
+    """Fold part, the summary of later rows, into summary: the result is the
+    summary of both sets of rows in turn. A new check goes last; the minimum is
+    np.minimum's, as between records: of equal slacks (0.0 and -0.0) it keeps
+    the earlier, and a NaN wins."""
+    for check, p in part.items():
+        s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": p["min_slack"]})
+        s["n"] += p["n"]
+        s["n_pass"] += p["n_pass"]
+        s["min_slack"] = float(np.minimum(s["min_slack"], p["min_slack"]))
+
+
 def _fold(summary, r) -> None:
     # r's rows into summary, grouped by check name in first-seen order
+    if isinstance(r, Part):
+        return merge_summary(summary, r.summary)
     names = r.check if r.check.strides[0] else r.check[:1]  # a broadcast: one group
     for check in dict.fromkeys(names.tolist()):
         # compared as objects: a str scalar would lose trailing NULs
         rows = r.check == np.array(check, object) if names is r.check else slice(None)
-        low = float(r.slack[rows].min())
-        s = summary.setdefault(check, {"n": 0, "n_pass": 0, "min_slack": low})
-        s["n"] += len(r.slack[rows])
-        s["n_pass"] += int(np.count_nonzero(r.passed[rows]))
-        s["min_slack"] = float(np.minimum(s["min_slack"], low))
+        merge_summary(summary, {check: {"n": len(r.slack[rows]),
+                                        "n_pass": int(np.count_nonzero(r.passed[rows])),
+                                        "min_slack": float(r.slack[rows].min())}})
 
 
 def _tally(reports, summary):
@@ -201,25 +226,55 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
             fh.write("".join(rows))
 
     for r in _records(reports):
-        if len(r):
+        if isinstance(r, Part):
+            fh.flush()
+            _append(fh.fileno(), r.file.fileno())
+        elif len(r):
             write(r)
         del r  # let go of a record before the next one is made
 
 
-def write_jsonl(path, reports, config) -> dict:
-    """Write a config line, one report row per line and a summary footer, and
-    return the summary: summarize(reports), folded while the rows are written.
-    Every line is standalone JSON, and the bytes are those of one json.dumps
-    per line."""
+def _append(dst, src) -> None:
+    # the whole file src, written at dst's offset (both descriptors): sendfile
+    # copies in the kernel, and a plain copy stands in where it fails at once
+    done, size = 0, os.fstat(src).st_size
+    try:
+        while done < size and (n := os.sendfile(dst, src, done, size - done)):
+            done += n
+    except OSError:
+        if done:
+            raise
+        with open(src, "rb", closefd=False) as a, open(dst, "wb", closefd=False) as b:
+            a.seek(0)
+            shutil.copyfileobj(a, b)
+
+
+def open_report(file):
+    """A report's text file, opened for writing: UTF-8, each line ended as the
+    writer writes it. file is a path, or a descriptor left open on close."""
+    return open(file, "w", encoding="utf-8", newline="", closefd=not isinstance(file, int))
+
+
+def write_jsonl_rows(fh, reports) -> dict:
+    """Write one JSON line per report row to the text file fh and return
+    summarize(reports), folded while the rows are written. The bytes are those
+    of one json.dumps per line."""
     dumps = _texts(json.dumps)
     keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
     summary = {}
-    with open(path, "w", encoding="utf-8") as fh:
+    _write(fh, _tally(reports, summary), keys, "}\n", dumps, dumps,
+           lambda k: ("[", ", ", "]", dumps), dumps,
+           lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
+           _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
+    return summary
+
+
+def write_jsonl(path, reports, config) -> dict:
+    """Write a config line, write_jsonl_rows and a summary footer, and return
+    the summary. Every line is standalone JSON."""
+    with open_report(path) as fh:
         fh.write(json.dumps({"config": config}) + "\n")
-        _write(fh, _tally(reports, summary), keys, "}\n", dumps, dumps,
-               lambda k: ("[", ", ", "]", dumps), dumps,
-               lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
-               _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
+        summary = write_jsonl_rows(fh, reports)
         fh.write(json.dumps({"summary": summary}) + "\n")
     return summary
 
@@ -231,10 +286,11 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-3]
 
 
-def write_csv(path, reports) -> dict:
-    """One CSV row per report row in FIELDS order, without extra; the site
-    column holds the site's JSON text. The bytes are those of csv.writer.
-    Returns summarize(reports), folded while the rows are written."""
+def write_csv_rows(fh, reports) -> dict:
+    """Write one CSV row per report row in FIELDS order, without extra, to the
+    text file fh; the site column holds the site's JSON text. The bytes are
+    those of csv.writer. Returns summarize(reports), folded while the rows are
+    written."""
     inner = _texts(lambda v: json.dumps(v).replace('"', '""'))  # in a quoted field
     single = _texts(lambda v: _csv_field(f"[{json.dumps(v)}]"))
 
@@ -243,9 +299,14 @@ def write_csv(path, reports) -> dict:
             return '"[', ", ", ']"', inner
         return ("", "", "", single) if k else ("[", "", "]", None)
     summary = {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(FIELDS)
-        _write(fh, _tally(reports, summary), ["", *","*7], "\r\n", _texts(_csv_field),
-               _texts(lambda v: _csv_field(json.dumps(v))), listed, _texts(str),
-               lambda v: list(map(float.__repr__, v.tolist())))
+    _write(fh, _tally(reports, summary), ["", *","*7], "\r\n", _texts(_csv_field),
+           _texts(lambda v: _csv_field(json.dumps(v))), listed, _texts(str),
+           lambda v: list(map(float.__repr__, v.tolist())))
     return summary
+
+
+def write_csv(path, reports) -> dict:
+    """Write a header of FIELDS and write_csv_rows, and return the summary."""
+    with open_report(path) as fh:
+        csv.writer(fh).writerow(FIELDS)
+        return write_csv_rows(fh, reports)

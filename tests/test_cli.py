@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
+import weakref
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -333,15 +338,44 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, name):
     ["generate", "--family", "path", "--n", "2"],
 ], ids=["verify", "kernel", "generate"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
-    # used to die with a FileNotFoundError traceback and exit 1; verify
-    # checks --out before it runs any suite
-    def no_work(*args):
-        raise AssertionError("a suite ran before --out was checked")
+    # used to die with a FileNotFoundError traceback and exit 1; verify and
+    # kernel check --out before they run any suite or series
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
     monkeypatch.setattr(cli, "_run_suite", no_work)
+    monkeypatch.setattr(cli.semigroup, "heat_kernel", no_work)
     code = run([*command, "--out", tmp_path / "missing" / "out"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _CrashingCsv:
+    # csv.writer's stand-in: writes the header, then dies among the rows
+    @staticmethod
+    def writer(fh):
+        class Writer:
+            def writerow(self, row):
+                fh.write(",".join(row) + "\r\n")
+
+            def writerows(self, rows):
+                raise RuntimeError("crashed while writing rows")
+        return Writer()
+
+
+def test_crashed_kernel_leaves_out_as_it_found_it(tmp_path, monkeypatch):
+    # kernel used to open --out only after its work and die with it half
+    # written; it now writes a staged sibling that replaces --out at the end
+    monkeypatch.setattr(cli, "csv", _CrashingCsv)
+    argv = ["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json"]
+    out = tmp_path / "k.csv"
+    with pytest.raises(RuntimeError):
+        run([*argv, "--out", out])
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        run([*argv, "--out", out])
+    assert out.read_text() == "kept\n" and list(tmp_path.iterdir()) == [out]
 
 
 def test_crashed_verify_leaves_out_as_it_found_it(tmp_path, monkeypatch):
@@ -361,16 +395,31 @@ def test_crashed_verify_leaves_out_as_it_found_it(tmp_path, monkeypatch):
     assert out.read_text() == "kept\n"
 
 
+def _inline(monkeypatch):
+    # one CPU: the units run in this process, one after another
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _pooled(monkeypatch):
+    # two CPUs and no size floor: the units run in two forked workers
+    if not hasattr(os, "fork"):
+        pytest.skip("needs fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "POOL_MIN_VERTICES", 0)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_crashed_in_its_last_suite_leaves_out_as_it_found_it(
         tmp_path, monkeypatch, fmt):
     # rows are written as the suites run, so by the time the last suite dies
-    # the earlier suites' rows are on disk, in a temporary sibling of --out
-    run_suite, written = cli._run_suite, []
+    # the earlier suites' rows are on disk, in a temporary sibling of --out;
+    # what the suite saw goes to a file, as a worker's memory is its own
+    _inline(monkeypatch)
+    run_suite, seen = cli._run_suite, tmp_path / "seen.json"
 
     def crash_last(g, suite, *args):
         if suite == cli.SUITES[-1]:
-            written.extend((p.name, p.stat().st_size) for p in out.parent.iterdir())
+            seen.write_text(json.dumps([(p.name, p.stat().st_size) for p in out.parent.iterdir()]))
             raise RuntimeError("last suite crashed")
         yield from run_suite(g, suite, *args)
     monkeypatch.setattr(cli, "_run_suite", crash_last)
@@ -380,7 +429,7 @@ def test_verify_crashed_in_its_last_suite_leaves_out_as_it_found_it(
             "--format", fmt, "--out", out]
     with pytest.raises(RuntimeError):
         run(argv)
-    (tmp, size), = [w for w in written if w[0] != out.name]
+    (tmp, size), = [w for w in json.loads(seen.read_text()) if w[0] != out.name]
     assert tmp.startswith(f".{out.name}.") and size > 0
     assert list(out.parent.iterdir()) == []
     out.write_bytes(b"kept\r\n")
@@ -388,6 +437,142 @@ def test_verify_crashed_in_its_last_suite_leaves_out_as_it_found_it(
         run(argv)
     assert out.read_bytes() == b"kept\r\n"
     assert list(out.parent.iterdir()) == [out]
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.fixture
+def clean_exit(tmp_path, monkeypatch):
+    # after the test's main() calls: no worker alive, no descriptor left open,
+    # and nothing left in the temporary directory the part files go to
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    fds = _open_fds()
+    yield
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+    assert list(temp.iterdir()) == []
+
+
+@pytest.mark.parametrize("crash", ["raise", "exit"])
+def test_verify_worker_crash_leaves_out_as_it_found_it(tmp_path, monkeypatch, clean_exit, crash):
+    # the last unit in report order dies in its worker, by an exception or by
+    # the process's end; the parent raises it (a BrokenProcessPool for the
+    # end), joins the workers and removes the stage
+    _pooled(monkeypatch)
+    run_suite, parent = cli._run_suite, os.getpid()
+
+    def crash_last(g, suite, *args):
+        if suite == cli.SUITES[-1]:
+            assert os.getpid() != parent
+            if crash == "exit":
+                os._exit(1)
+            raise RuntimeError("last suite crashed")
+        yield from run_suite(g, suite, *args)
+    monkeypatch.setattr(cli, "_run_suite", crash_last)
+    out = tmp_path / "reports" / "r.jsonl"
+    out.parent.mkdir()
+    argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json", "--out"]
+    expected = RuntimeError if crash == "raise" else BrokenProcessPool
+    for kept in (None, b"kept\n"):
+        if kept:
+            out.write_bytes(kept)
+        with pytest.raises(expected):
+            run([*argv, out])
+        assert list(out.parent.iterdir()) == ([out] if kept else [])
+        assert not kept or out.read_bytes() == kept
+    with pytest.raises(expected):  # an in-place --out: parts in the temp directory
+        run([*argv, os.devnull])
+
+
+def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, capsys, clean_exit):
+    # every suite runs, kernel-bounds as one unit per time; the pooled run's
+    # units run in workers, and its report, CSV and summary are the inline run's
+    graph = tmp_path / "grid4.json"
+    save_graph(graph, generate("grid", rows=4, cols=4, measure_mode="degree"))
+    argv = ["verify", "--graph", graph, "--suite", "all", "--t", "0.2,1,3.5",
+            "--seed", "5", "--n-funcs", "3"]
+    run_suite, pids = cli._run_suite, tmp_path / "pids"
+    pids.mkdir()
+
+    def note_pid(g, suite, *args):
+        (pids / str(os.getpid())).touch()
+        yield from run_suite(g, suite, *args)
+    monkeypatch.setattr(cli, "_run_suite", note_pid)
+    written = {}
+    for where in ("inline", "pooled"):
+        with monkeypatch.context() as m:
+            (_inline if where == "inline" else _pooled)(m)
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{where}.{fmt}"
+                assert run([*argv, "--format", fmt, "--out", out]) == 0
+                written[where, fmt] = out.read_bytes(), capsys.readouterr().out
+            assert run(argv) == 0
+            written[where, None] = b"", capsys.readouterr().out
+        workers = {p.name for p in pids.iterdir()} - {str(os.getpid())}
+        assert bool(workers) == (where == "pooled"), where
+    for fmt in ("json", "csv", None):
+        assert written["inline", fmt] == written["pooled", fmt], fmt
+    assert written["inline", "json"][1] == written["inline", None][1]
+    assert b'"check": "kernel_lower"' in written["inline", "json"][0]
+
+
+# (time -> a kernel unit's lhs, rhs): slacks 0.0, -0.0, NaN and 1.0
+_ZEROS_AND_NAN = {0.5: (1.0, 1.0), 1.0: (0.0, -0.0), 2.0: (math.nan, 1.0), 4.0: (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("times", ["0.5,1,4", "1,0.5,4", "4,1,0.5", "0.5,1,2,4", "1,2,0.5", "4,2,1"])
+def test_pooled_summary_is_the_serial_summary(tmp_path, monkeypatch, capsys, times):
+    # each kernel unit's min slack is 0.0, -0.0, NaN or 1.0; folded unit by
+    # unit in report order they give summarize() of all rows in turn, whose
+    # minimum keeps the first of equal zeros and any NaN
+    def one_row(g, suite, unit_times, *args):
+        (t,) = unit_times
+        yield reports.site_reports("kernel_x", [["v0", t]], *_ZEROS_AND_NAN[t])
+    monkeypatch.setattr(cli, "_run_suite", one_row)
+    serial = reports.summarize([reports.site_reports("kernel_x", [["v0", t]], *_ZEROS_AND_NAN[t])
+                                for t in map(float, times.split(","))])
+    argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+            "--suite", "kernel-bounds", "--t", times]
+    nan = "2" in times.split(",")  # the one failing row
+    footers = []
+    for where in (_inline, _pooled):
+        with monkeypatch.context() as m:
+            where(m)
+            out = tmp_path / "r.jsonl"
+            assert run([*argv, "--out", out]) == nan
+            footers.append(out.read_text().splitlines()[-1])
+    assert footers[0] == footers[1] == json.dumps({"summary": serial})
+    assert capsys.readouterr().err == "first failure: kernel_x at ['v0', 2.0]\n" * 2 * nan
+
+
+def test_pooled_first_failure_is_the_first_in_report_order(tmp_path, monkeypatch, capsys):
+    # kernel-bounds fails in one worker before gradient, the first suite in
+    # the report, fails in the other; the line names gradient's row
+    _pooled(monkeypatch)
+    failed = tmp_path / "kernel-failed"
+
+    def fail_late(g, suite, *args):
+        if suite == "gradient":  # waits for a kernel unit's failure
+            for _ in range(3000):
+                if failed.exists():
+                    break
+                time.sleep(0.01)
+            assert failed.exists(), "no kernel unit failed first"
+            yield reports.site_reports("early", ["v1"], 1.0, 0.0)
+        elif suite == "kernel-bounds":
+            yield reports.site_reports("late", ["v2"], 1.0, 0.0)
+            failed.touch()
+        else:
+            yield reports.site_reports("fine", ["v3"], 0.0, 1.0)
+    monkeypatch.setattr(cli, "_run_suite", fail_late)
+    code = run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                "--out", tmp_path / "r.jsonl"])
+    assert code == 1 and failed.exists()
+    assert capsys.readouterr().err == "first failure: early at v1\n"
 
 
 def test_verify_out_replaces_a_symlink_target_and_writes_a_device(tmp_path, monkeypatch):
@@ -478,9 +663,11 @@ def test_verify_out_in_a_read_only_directory_exits_2(tmp_path):
     assert out.read_text() == "old\n" and list(tmp_path.iterdir()) == [out]
 
 
-def test_verify_holds_one_kernel_at_a_time(tmp_path):
+def test_verify_holds_one_kernel_at_a_time(tmp_path, monkeypatch):
     # the traced peak of --suite kernel-bounds does not grow with the number
-    # of times: each kernel's records are written and let go before the next
+    # of times: each kernel's records are written and let go before the next;
+    # tracemalloc sees this process only, so the units run here
+    _inline(monkeypatch)
     graph = tmp_path / "grid8.json"
     save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
 
@@ -495,6 +682,31 @@ def test_verify_holds_one_kernel_at_a_time(tmp_path):
     peak("1")  # warm-up: imports and first-call caches
     one, six = peak("1"), peak("0.5,1,1.5,2,2.5,3")
     assert six <= 1.25 * one, (one, six)
+
+
+class _Traced(reports.Reports):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", None])
+def test_verify_lets_go_of_each_record_before_the_next(tmp_path, monkeypatch, fmt):
+    # every record, of any unit, is dropped before the next one is made, so
+    # the peak holds one record, not two
+    _inline(monkeypatch)
+    made = []
+
+    def records(g, suite, *args):
+        for k in range(2):
+            assert [ref() for ref in made if ref() is not None] == [], suite
+            r = reports.site_reports(suite, [f"v{k}"], 0.0, 1.0)
+            r = _Traced(r.check, r.site, r.lhs, r.rhs, r.abs_tol, r.rel_tol, r.extra)
+            made.append(weakref.ref(r))
+            yield r
+            del r
+    monkeypatch.setattr(cli, "_run_suite", records)
+    out = ["--format", fmt, "--out", tmp_path / "r.out"] if fmt else []
+    assert run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json", *out]) == 0
+    assert len(made) == 2 * (len(cli.SUITES) + 2)  # kernel-bounds: one unit per time
 
 
 @pytest.mark.parametrize("sites, shown", [
@@ -516,6 +728,17 @@ def test_cli_import_loads_no_scipy():
     # scipy is needed only by dense_oracle on asymmetric weights
     code = ("import sys, graphheat.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # verify imports the pool when it forks workers, so every other command,
+    # and the set-up time the bench measures, go without it
+    code = ("import sys, graphheat.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout

@@ -360,6 +360,38 @@ def test_verify_kernel_lower_sweep():
             assert all_pass(verify_kernel_lower(g, t))
 
 
+def _two_grids(rows):
+    # two disjoint rows x rows grids, mu = deg: half the pairs are unreachable
+    grid = generate("grid", rows=rows, cols=rows, measure_mode="degree")
+    rows_, cols = grid.edges[:2]
+    return WeightedGraph([f"{p}{v}" for p in "ab" for v in grid.ids],
+                         [(f"{p}{grid.ids[i]}", f"{p}{grid.ids[j]}", 1.0)
+                          for p in "ab" for i, j in zip(rows_, cols) if i < j],
+                         measure_mode="degree")
+
+
+@pytest.mark.parametrize("verify", [verify_kernel_upper, verify_kernel_lower])
+@pytest.mark.parametrize("graph", ["grid", "two-grids"])
+def test_kernel_records_are_built_without_pair_temporaries(verify, graph):
+    # a kernel record's n^2 rows are most of a verify run's memory: building
+    # one may add little beyond the record itself (the lower bound's index
+    # pairs, site pieces and full bound matrix once took it to 1.65-1.8x)
+    import tracemalloc
+    g = generate("grid", rows=16, cols=16, measure_mode="degree") if graph == "grid" \
+        else _two_grids(12)
+    kernel = heat_kernel(g, 1.0)
+    verify(g, 1.0, kernel=kernel)  # the graph's distances and constants, cached
+    tracemalloc.start()
+    try:
+        record = verify(g, 1.0, kernel=kernel)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(record) == (g.n**2 if verify is verify_kernel_upper or graph == "grid"
+                           else g.n**2 // 2)
+    assert peak <= 1.3 * held, (peak, held)
+
+
 def test_verify_diagonal_lower():
     g = generate("grid", rows=3, cols=3, measure_mode="degree")
     for t in (0.1, 1.0, 5.0, 20.0):

@@ -1,7 +1,10 @@
 import csv
+import errno
 import json
 import math
+import os
 import struct
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphheat import cli, generate, reports as reports_module, save_graph
-from graphheat.reports import (CHUNK_ROWS, FIELDS, Reports, all_pass, concat,
-                               site_reports, summarize, write_csv, write_jsonl)
+from graphheat.reports import (CHUNK_ROWS, FIELDS, Part, Reports, all_pass, concat,
+                               merge_summary, open_report, site_reports, summarize,
+                               write_csv, write_csv_rows, write_jsonl, write_jsonl_rows)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +65,35 @@ def test_summarize_groups_interleaved_checks_in_first_seen_order():
     assert summarize(nul) == {"a": {"n": 1, "n_pass": 1, "min_slack": 1.0},
                               "a\x00": {"n": 1, "n_pass": 0, "min_slack": -1.0}}
     assert not all_pass(mixed) and all_pass([])
+
+
+def _first_min(values):
+    # the minimum of values in turn: a NaN wins, and of equal values the first
+    low = values[0]
+    for v in values[1:]:
+        if not math.isnan(low) and (math.isnan(v) or v < low):
+            low = v
+    return low
+
+
+def test_merged_summaries_of_consecutive_rows_are_the_summary_of_all():
+    # any split of the records into runs, each summarized and merged in
+    # order, gives the summary of all: equal zeros keep the first one's sign,
+    # and a NaN wins wherever it falls
+    slacks = [(1.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (np.nan, 1.0), (0.0, 2.0)]  # lhs, rhs
+    for picks in ([0, 1, 2], [2, 1, 0], [1, 4, 2], [3, 0, 1], [0, 1, 3, 2], [4, 2, 1], [1, 3]):
+        recs = [site_reports("c" if i % 2 else "d", [i], *slacks[i]) for i in picks]
+        want = {}
+        for r in recs:
+            want.setdefault(r.check[0], []).append(float(r.slack[0]))
+        want = {check: {"n": len(v), "n_pass": sum(not math.isnan(x) for x in v),
+                        "min_slack": _first_min(v)} for check, v in want.items()}
+        assert json.dumps(summarize(recs)) == json.dumps(want), picks
+        for cut in range(len(recs) + 1):
+            merged = {}
+            for part in (recs[:cut], recs[cut:]):
+                merge_summary(merged, summarize(part))
+            assert json.dumps(merged) == json.dumps(want), (picks, cut)
 
 
 def test_site_reports_broadcasts_scalars_and_keeps_floats():
@@ -157,6 +190,29 @@ def test_summarize_and_writers_take_a_one_shot_generator(tmp_path):
         assert write(once, (r for r in recs), *args) == write(listed, recs, *args) \
             == summarize(recs)
         assert once.read_bytes() == listed.read_bytes(), name
+
+
+@pytest.mark.parametrize("sendfile", [True, False], ids=["sendfile", "plain-copy"])
+def test_writers_copy_parts_as_the_rows_they_hold(tmp_path, monkeypatch, sendfile):
+    # a Part's rows, written beforehand by the rows writer, are copied in
+    # place of its records, and its summary merged
+    if not sendfile:
+        def no_sendfile(*args):
+            raise OSError(errno.EINVAL, "no sendfile between these files")
+        monkeypatch.setattr(os, "sendfile", no_sendfile, raising=False)
+    recs = [*_sample(), site_reports("a", [["z", 1.5]], 3.0, 1.0)]
+    for name, rows, write, args in [("jsonl", write_jsonl_rows, write_jsonl, ({"seed": 1},)),
+                                    ("csv", write_csv_rows, write_csv, ())]:
+        parts = []
+        for r in recs:
+            part = tempfile.TemporaryFile(dir=tmp_path)
+            with open_report(part.fileno()) as fh:
+                parts.append(Part(part, rows(fh, [r])))
+        want, got = tmp_path / f"want.{name}", tmp_path / f"got.{name}"
+        assert write(got, [parts[0], recs[1], parts[2]], *args) == write(want, recs, *args)
+        assert got.read_bytes() == want.read_bytes(), name
+        for part in parts:
+            part.file.close()
 
 
 def test_concat_rejects_records_of_different_site_layouts():
@@ -369,6 +425,8 @@ def test_writers_fold_pass_columns_and_share_floats(tmp_path):
 @pytest.mark.parametrize("graph", sorted((ROOT / "example_graphs").glob("*.json"))
                          + ["grid8"], ids=lambda p: getattr(p, "stem", p))
 def test_verify_reports_match_one_json_dumps_per_row(tmp_path, monkeypatch, graph):
+    # one CPU: the records reach the writer in this process, not as worker parts
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     if graph == "grid8":  # its 4096-row kernel records span four chunks
         graph = tmp_path / "grid8.json"
         save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
