@@ -94,8 +94,8 @@ def cmd_generate(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 def _run_suite(g, suite, times, seed, tol, n_funcs):
-    """One Reports per verifier call, in call order, each made when asked for."""
-    rng = np.random.default_rng((seed, zlib.crc32(suite.encode())))  # per suite
+    """The Reports of each verifier call (of each function block, for harnack
+    and heat-gradient), in call order, each made when asked for."""
     pos_times = [t for t in times if t > 0]
     if suite == "volume":
         yield estimates.verify_volume_growth(g, pos_times)
@@ -107,6 +107,7 @@ def _run_suite(g, suite, times, seed, tol, n_funcs):
                 yield verify(g, t, kernel=kernel)
             del kernel
     else:  # the function-sampling suites: one batch, one function per column
+        rng = np.random.default_rng((seed, zlib.crc32(suite.encode())))  # per suite
         U = np.stack([estimates.sample_positive_function(g, rng)
                       for _ in range(n_funcs)], axis=1)
         if suite == "gradient":
@@ -116,11 +117,11 @@ def _run_suite(g, suite, times, seed, tol, n_funcs):
             yield reports.site_reports("sqrt_identity", ["max_residual"] * n_funcs,
                                        res, budget, 0.0, 0.0)
         elif suite == "heat-gradient":
-            yield estimates.heat_gradient_estimate(g, U, pos_times)
+            yield from estimates._heat_gradient_blocks(g, U, pos_times)
         elif suite == "previous":
             yield estimates.prior_gradient_estimate(g, U)
         else:  # harnack
-            yield estimates.verify_harnack(g, U, pos_times, seed=int(rng.integers(2**32)))
+            yield from estimates._harnack_blocks(g, U, pos_times, seed=int(rng.integers(2**32)))
 
 
 def _unmet(g, suite, times):
@@ -261,12 +262,25 @@ def _run_unit(i):
 
 def _parts(futures, parts, failure):
     """Each unit's reports.Part in report order, as its worker finishes it;
-    failure gets the first failing row of the first unit that has one."""
+    failure gets the first failing row of the first unit that has one. A unit
+    that raises raises here as soon as it ends, whichever unit is awaited."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+    pending = set(futures)
     for i, future in enumerate(futures):
+        while not future.done():
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for f in done:
+                f.result()
         summary, unit_failure = future.result()
         if not failure:
             failure += unit_failure
         yield reports.Part(parts and parts[i], summary)
+
+
+def _end_workers(pool) -> None:
+    # ends the units still running; the shutdown that follows joins the workers
+    for worker in pool._processes.values():  # pid -> multiprocessing.Process
+        worker.terminate()
 
 
 def cmd_verify(args) -> int:
@@ -314,6 +328,10 @@ def cmd_verify(args) -> int:
                 summary = reports.write_jsonl(path, records, config)
             else:
                 summary = reports.write_csv(path, records)
+        except BaseException:
+            if pool:  # a unit raised, or this process was stopped
+                _end_workers(pool)
+            raise
         finally:
             if pool:  # units not started are dropped; the workers are joined
                 pool.shutdown(cancel_futures=True)
@@ -340,31 +358,29 @@ def cmd_kernel(args) -> int:
     # Bonferroni split of MC_ALPHA over every (source, target, time) cell
     cells = max(g.n**2 * len(args.times), 1)
     z = NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
-    rows = []
     consistent = True
-    with _Staged(args.out) as (_, path):
+    header = ["t", "x", "y", "p"]
+    if args.mc:
+        header += ["p_hat", "half_width", "n_walks", "seed"]
+    # each source's rows are written as they are made
+    with _Staged(args.out) as (_, path), open(path, "w", newline="", encoding="utf-8") \
+            if path else contextlib.nullcontext(sys.stdout) as out:
+        w = csv.writer(out)
+        w.writerow(header)
         for t in args.times:
             kernel = semigroup.heat_kernel(g, t, tol=args.tol)
             for i, x in enumerate(g.ids):
                 p = kernel.matrix[i].tolist()
                 if not args.mc:
-                    rows.extend([t, x, y, p[j]] for j, y in enumerate(g.ids))
+                    w.writerows([t, x, y, p[j]] for j, y in enumerate(g.ids))
                     continue
                 sub_seed = args.seed ^ zlib.crc32(f"{t}:{x}".encode())
                 est = walk.simulate(g, x, t, args.mc, seed=sub_seed)
                 flags = est.consistent_with(kernel.matrix[i], n_sigma=z)
                 consistent = consistent and bool(flags.all())
                 p_hat, hw = est.p_hat.tolist(), est.half_width.tolist()
-                rows.extend([t, x, y, p[j], p_hat[j], hw[j], args.mc, sub_seed]
+                w.writerows([t, x, y, p[j], p_hat[j], hw[j], args.mc, sub_seed]
                             for j, y in enumerate(g.ids))
-        header = ["t", "x", "y", "p"]
-        if args.mc:
-            header += ["p_hat", "half_width", "n_walks", "seed"]
-        with open(path, "w", newline="", encoding="utf-8") if path else \
-                contextlib.nullcontext(sys.stdout) as out:
-            w = csv.writer(out)
-            w.writerow(header)
-            w.writerows(rows)
     if args.mc:
         verdict = "consistent" if consistent else "INCONSISTENT"
         print(f"monte-carlo vs series: {verdict} (family-wise alpha "

@@ -3,7 +3,8 @@ and the heat-kernel and volume-growth bounds, each with a verifier returning
 one Reports row per site.
 
 The verifiers of a vertex function also take an (n, m) batch, one function
-per column as evolve takes it, and return its rows function by function.
+per column as evolve takes it, and return its rows function by function;
+Harnack and heat gradient make them in blocks of whole functions.
 
 Everything here is an inequality that holds exactly in real arithmetic, so a
 failure beyond the floating-point tolerance budget indicates a bug, not a
@@ -26,6 +27,7 @@ FD_STEP = 3e-6  # near eps**(1/3): balances O(h^2) truncation and O(eps/h) round
 FD_REL = 1e-6  # relative agreement asked of the centered difference
 HARNACK_SERIES_TOL = 1e-12  # series truncation of the Harnack snapshots
 HARNACK_MAX_PAIRS = 1000  # sampled pairs on graphs of more than 30 vertices
+BLOCK_ROWS = 8192  # rows of a function block's record, unless one function has more
 
 
 class HypothesisError(ValueError):
@@ -48,6 +50,13 @@ def _require_mu_deg(g: WeightedGraph, what: str) -> None:
 def _columns(u: np.ndarray):
     """The vertex functions of u: u itself, or each column of an (n, m) batch."""
     return u.T if u.ndim == 2 else u[None]
+
+
+def _function_blocks(m, rows):
+    """Ranges of consecutive functions of m with at most `rows` rows each: as
+    many as fit BLOCK_ROWS rows, and at least one, in each."""
+    step = max(1, BLOCK_ROWS // max(rows, 1))
+    return [range(k, min(k + step, m)) for k in range(0, m, step)]
 
 
 def _sites(*positions):
@@ -100,9 +109,14 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
     to FD_REL relative accuracy with an absolute floor at the difference
     quotient's own rounding noise. Rows go function, then time, then check.
     """
+    return concat(_heat_gradient_blocks(g, u0, times))
+
+
+def _heat_gradient_blocks(g, u0, times):
+    # heat_gradient_estimate's rows, one record per function block
     u0 = require_positive(g, u0)
     d_mu = g.constants().d_mu
-    blocks = []  # per time: sites, the estimate's lhs, then the FD check's sides if made
+    per_time = []  # sites, the estimate's lhs, then the FD check's sides if made
     for t in map(check_time, times):
         if t >= FD_STEP:
             # step t-h -> t -> t+h along one semigroup chain, so the series
@@ -119,14 +133,16 @@ def heat_gradient_estimate(g: WeightedGraph, u0, times):
         if t >= FD_STEP:  # the floor is 1e-9 of the largest sqrt u of each function
             fd = (np.abs((np.sqrt(plus) - np.sqrt(minus)) / (2.0 * FD_STEP) - dt_sqrt),
                   FD_REL * np.abs(dt_sqrt) + 1e-9 * np.max(st, axis=0))
-        blocks.append((_sites(g.ids, t), *map(_columns, (gamma(g, st) / ut - dt_sqrt / st, *fd))))
-    parts = []
-    for k in range(len(_columns(u0))):
-        for sites, lhs, *fd in blocks:
-            parts.append(site_reports("heat_gradient_estimate", sites, lhs[k], d_mu))
+        per_time.append((_sites(g.ids, t), *map(_columns, (gamma(g, st) / ut - dt_sqrt / st, *fd))))
+
+    def parts(k):
+        for sites, lhs, *fd in per_time:
+            yield site_reports("heat_gradient_estimate", sites, lhs[k], d_mu)
             if fd:
-                parts.append(site_reports("heat_gradient_fd", sites, fd[0][k], fd[1][k], 0.0, 0.0))
-    return concat(parts)
+                yield site_reports("heat_gradient_fd", sites, fd[0][k], fd[1][k], 0.0, 0.0)
+    rows = sum(len(sites) * (1 + bool(fd)) for sites, _, *fd in per_time)
+    for functions in _function_blocks(len(_columns(u0)), rows):
+        yield concat(p for k in functions for p in parts(k))
 
 
 def prior_gradient_estimate(g: WeightedGraph, u):
@@ -249,6 +265,11 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
     pairs from one default_rng(seed), so the first function of a batch gets
     the pairs a call with it alone gets. Unreachable pairs are dropped.
     """
+    return concat(_harnack_blocks(g, u0, time_grid, pairs, seed))
+
+
+def _harnack_blocks(g, u0, time_grid, pairs=None, seed=0):
+    # verify_harnack's rows, one record per function block
     u0 = require_positive(g, u0)
     times = sorted(set(map(check_time, time_grid)))
     if len(times) < 2:
@@ -259,25 +280,26 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
                  for t in times}
     m = len(_columns(u0))
     if pairs is None and g.n <= 30:
-        blocks = [np.divmod(np.arange(g.n * g.n), g.n)] * m
+        picks = [np.divmod(np.arange(g.n * g.n), g.n)] * m
     elif pairs is None:  # (function, pair, end) in draw order
-        blocks = np.random.default_rng(seed).integers(
+        picks = np.random.default_rng(seed).integers(
             g.n, size=(m, HARNACK_MAX_PAIRS, 2)).transpose(0, 2, 1)
     else:
         pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
-        blocks = [np.array(pairs, dtype=np.intp).reshape(-1, 2).T] * m
-    reachable = [np.isfinite(D[I, J]) for I, J in blocks]
-    blocks = [(I[f], J[f]) for (I, J), f in zip(blocks, reachable)]
+        picks = [np.array(pairs, dtype=np.intp).reshape(-1, 2).T] * m
+    reachable = [np.isfinite(D[I, J]) for I, J in picks]
+    picks = [(I[f], J[f]) for (I, J), f in zip(picks, reachable)]
     gaps = [(t1, t2) for a, t1 in enumerate(times) for t2 in times[a + 1:]]
-    # one site_reports call over all (function, time pair) blocks: a concat
-    # of per-block records would hold every column twice
-    return site_reports(
-        "harnack", np.concatenate([_sites(g.ids[I], t1, g.ids[J], t2)
-                                   for I, J in blocks for t1, t2 in gaps]),
-        np.concatenate([snapshots[t1][k][I] for k, (I, J) in enumerate(blocks)
-                        for t1, t2 in gaps]),
-        np.concatenate([snapshots[t2][k][J] * _harnack_form(c, D[I, J], t2 - t1)
-                        for k, (I, J) in enumerate(blocks) for t1, t2 in gaps]))
+    for functions in _function_blocks(m, max((len(I) for I, _ in picks), default=0) * len(gaps)):
+        # one site_reports call per block: a concat of per-gap records would
+        # hold every column twice
+        block = [(k, *picks[k], t1, t2) for k in functions for t1, t2 in gaps]
+        yield site_reports(
+            "harnack", np.concatenate([_sites(g.ids[I], t1, g.ids[J], t2)
+                                       for _, I, J, t1, t2 in block]),
+            np.concatenate([snapshots[t1][k][I] for k, I, J, t1, t2 in block]),
+            np.concatenate([snapshots[t2][k][J] * _harnack_form(c, D[I, J], t2 - t1)
+                            for k, I, J, t1, t2 in block]))
 
 
 # -- heat kernel bounds ---------------------------------------------------------

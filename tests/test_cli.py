@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphheat import (cli, generate, heat_kernel, load_graph, reports, save_graph,
-                       simulate)
+from graphheat import (cli, estimates, generate, heat_kernel, load_graph, reports,
+                       save_graph, simulate, walk)
 from graphheat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -378,6 +379,29 @@ def test_crashed_kernel_leaves_out_as_it_found_it(tmp_path, monkeypatch):
     assert out.read_text() == "kept\n" and list(tmp_path.iterdir()) == [out]
 
 
+def test_kernel_crashed_after_its_first_source_leaves_out_as_it_found_it(tmp_path, monkeypatch):
+    # each source's rows are written as they are made, so when the walks of
+    # the second source die the first's are in the stage, which is removed
+    simulate_walks, calls = walk.simulate, []
+
+    def crash_second(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) % 2 == 0:
+            raise RuntimeError("walks crashed")
+        return simulate_walks(*args, **kwargs)
+    monkeypatch.setattr(walk, "simulate", crash_second)
+    argv = ["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json", "--mc", "10"]
+    out = tmp_path / "k.csv"
+    for kept in (None, "kept\n"):
+        if kept:
+            out.write_text(kept)
+        with pytest.raises(RuntimeError):
+            run([*argv, "--out", out])
+        assert list(tmp_path.iterdir()) == ([out] if kept else [])
+        assert not kept or out.read_text() == kept
+    assert len(calls) == 4
+
+
 def test_crashed_verify_leaves_out_as_it_found_it(tmp_path, monkeypatch):
     # --out is opened before the suites run; a run that then dies used to
     # leave an empty file behind
@@ -486,6 +510,30 @@ def test_verify_worker_crash_leaves_out_as_it_found_it(tmp_path, monkeypatch, cl
         assert not kept or out.read_bytes() == kept
     with pytest.raises(expected):  # an in-place --out: parts in the temp directory
         run([*argv, os.devnull])
+
+
+def test_pooled_unit_that_raises_ends_the_run_at_once(tmp_path, monkeypatch, clean_exit):
+    # volume, first in the report, is slow; gradient raises in the other
+    # worker meanwhile: main raises it without waiting for volume, whose
+    # worker is ended, and the stage is removed
+    _pooled(monkeypatch)
+    run_suite, ended = cli._run_suite, tmp_path / "volume-ended"
+
+    def slow_or_raise(g, suite, *args):
+        if suite == "gradient":
+            raise RuntimeError("gradient crashed")
+        time.sleep(30)
+        ended.touch()
+        yield from run_suite(g, suite, *args)
+    monkeypatch.setattr(cli, "_run_suite", slow_or_raise)
+    out = tmp_path / "reports" / "r.jsonl"
+    out.parent.mkdir()
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="gradient crashed"):
+        run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+             "--suite", "volume,gradient", "--out", out])
+    assert not ended.exists() and time.monotonic() - start < 20
+    assert list(out.parent.iterdir()) == []
 
 
 def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, capsys, clean_exit):
@@ -682,6 +730,101 @@ def test_verify_holds_one_kernel_at_a_time(tmp_path, monkeypatch):
     peak("1")  # warm-up: imports and first-call caches
     one, six = peak("1"), peak("0.5,1,1.5,2,2.5,3")
     assert six <= 1.25 * one, (one, six)
+
+
+@pytest.mark.parametrize("suite, n_funcs, bound", [("harnack", (2, 20), 1.5),
+                                                   ("heat-gradient", (20, 200), 2.5)])
+def test_verify_holds_one_function_block_at_a_time(tmp_path, monkeypatch, suite, n_funcs, bound):
+    # a 64-vertex graph's harnack samples 3000 rows per function, and its
+    # heat-gradient has 384: ten times the functions, in ten times the blocks,
+    # hold one block's record at a time (one record of all read 5.9x and
+    # 9.5x); heat-gradient's sides at each time, n x m each, are shared by
+    # the blocks and grow with the functions
+    _inline(monkeypatch)
+    graph = tmp_path / "grid8.json"
+    save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
+
+    def peak(funcs):
+        tracemalloc.start()
+        try:
+            assert run(["verify", "--graph", graph, "--suite", suite, "--n-funcs", funcs,
+                        "--out", tmp_path / "r.jsonl"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    few, many = n_funcs
+    peak(few)  # warm-up: imports and first-call caches
+    one, ten = peak(few), peak(many)
+    assert ten <= bound * one, (one, ten)
+
+
+@pytest.mark.parametrize("suite, n_funcs", [("harnack", 7), ("heat-gradient", 45)])
+def test_verify_blocks_join_to_the_public_record(tmp_path, monkeypatch, suite, n_funcs):
+    # the blocks the CLI writes are, joined, what the public verifier returns,
+    # bit for bit, and the report's rows and footer are that record's
+    _inline(monkeypatch)
+    name = {"harnack": "harnack", "heat-gradient": "heat_gradient"}[suite]
+    make_blocks, calls = getattr(estimates, f"_{name}_blocks"), []
+
+    def noted(*args, **kwargs):
+        calls.append((args, kwargs, list(make_blocks(*args, **kwargs))))
+        yield from calls[-1][2]
+    monkeypatch.setattr(estimates, f"_{name}_blocks", noted)
+    graph, out = tmp_path / "grid8.json", tmp_path / "r.jsonl"
+    save_graph(graph, generate("grid", rows=8, cols=8, measure_mode="degree"))
+    assert run(["verify", "--graph", graph, "--suite", suite, "--n-funcs", n_funcs,
+                "--out", out]) == 0
+    (args, kwargs, blocks), = calls
+    public = (estimates.verify_harnack if suite == "harnack"
+              else estimates.heat_gradient_estimate)(*args, **kwargs)
+    assert len(blocks) > 2 and all(len(b) <= estimates.BLOCK_ROWS for b in blocks)
+    joined = reports.concat(blocks)
+    for name in ("check", "site", "extra"):
+        assert getattr(joined, name).tolist() == getattr(public, name).tolist(), name
+    for name in ("lhs", "rhs", "abs_tol", "rel_tol", "slack", "passed"):
+        assert getattr(joined, name).tobytes() == getattr(public, name).tobytes(), name
+    rows = io.StringIO()
+    reports.write_jsonl_rows(rows, public)
+    lines = out.read_text().splitlines()
+    assert lines[1:-1] == rows.getvalue().splitlines()
+    # no slack is -0.0 (rhs - lhs is -0.0 only at rhs = -0.0), so a footer
+    # merged block by block has the record's minimum, sign and all
+    assert not np.signbit(public.rhs).any()
+    assert lines[-1] == json.dumps({"summary": reports.summarize(public)})
+
+
+@pytest.mark.parametrize("where", ["inline", "pooled"])
+def test_kernel_and_volume_units_load_no_numpy_random(tmp_path, where):
+    # only the function-sampling suites draw, so the other units, in the
+    # parent or in a worker, go without numpy.random
+    script = f"""
+import os, sys
+import graphheat.cli as cli
+os.sched_getaffinity = lambda pid: {{0}} if {where == "inline"} else {{0, 1}}
+cli.POOL_MIN_VERTICES = 0
+run_suite = cli._run_suite
+def noted(*args):
+    yield from run_suite(*args)
+    with open({str(tmp_path / "seen")!r}, "a") as fh:
+        print(os.getpid(), 'numpy.random' in sys.modules, file=fh)
+cli._run_suite = noted
+assert cli.main(["verify", "--graph", {str(ROOT / "example_graphs" / "grid3x3.json")!r},
+                 "--suite", "kernel-bounds,volume", "--out", {str(tmp_path / "r.jsonl")!r}]) == 0
+print(os.getpid(), 'numpy.random' in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+                            check=True, capture_output=True, text=True, env=env).stdout
+    if loaded.strip() == "True":
+        pytest.skip("import numpy loads numpy.random")
+    if where == "pooled" and not hasattr(os, "fork"):
+        pytest.skip("needs fork")
+    parent = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                            text=True, env=env).stdout.splitlines()[-1].split()
+    seen = [line.split() for line in (tmp_path / "seen").read_text().splitlines()]
+    assert parent[1] == "False" and len(seen) == 4  # kernel-bounds: one unit per time
+    assert all(loaded == "False" for _, loaded in seen), seen
+    assert {pid for pid, _ in seen} != {parent[0]} if where == "pooled" else {parent[0]}
 
 
 class _Traced(reports.Reports):

@@ -96,6 +96,28 @@ def test_merged_summaries_of_consecutive_rows_are_the_summary_of_all():
             assert json.dumps(merged) == json.dumps(want), (picks, cut)
 
 
+@pytest.mark.parametrize("nan", [False, True])
+def test_block_summaries_merge_to_the_record_summary(nan):
+    # a verifier's rows split into blocks at any row: merged block by block,
+    # the footer is the one record's, with a minimum of exactly 0.0 (lhs =
+    # rhs) kept as 0.0, or a NaN; a -0.0 slack would need rhs = -0.0, which no
+    # function verifier makes
+    rng = np.random.default_rng(4)
+    rhs = rng.uniform(1.0, 2.0, 40)
+    lhs = rhs - rng.uniform(0.0, 1.0, 40)
+    lhs[[3, 17, 18, 33]] = rhs[[3, 17, 18, 33]]
+    if nan:
+        lhs[25] = np.nan
+    checks = np.where(np.arange(40) % 3, "a", "b")
+    record = site_reports(checks, list(range(40)), lhs, rhs)
+    want = json.dumps(summarize(record))
+    for cut in range(41):
+        blocks = [site_reports(checks[i:j], list(range(i, j)), lhs[i:j], rhs[i:j])
+                  for i, j in ((0, cut), (cut, 40))]
+        assert json.dumps(summarize(blocks)) == want, cut
+    assert ('"min_slack": NaN' in want) == nan and '"min_slack": 0.0' in want
+
+
 def test_site_reports_broadcasts_scalars_and_keeps_floats():
     lhs = np.array([0.1, 0.2, 0.3]) * 3.0
     reports = site_reports("c", ["x", "y", "z"], lhs, 1.0, 0.0, 0.5)
