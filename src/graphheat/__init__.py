@@ -16,7 +16,7 @@ from .semigroup import (HeatKernel, compose, dense_oracle, evolve, generator,
 from .estimates import (HypothesisError, gradient_estimate, gradient_lhs,
                         harnack_factor, heat_gradient_estimate,
                         heat_kernel_lower_bound, heat_kernel_upper_bound,
-                        independence_sweep, min_form_bound, optimal_time_gap,
+                        independence_sweep, optimal_time_gap,
                         prior_gradient_estimate, sample_positive_function,
                         verify_diagonal_lower, verify_harnack,
                         verify_kernel_lower, verify_kernel_upper,

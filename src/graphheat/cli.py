@@ -46,7 +46,7 @@ FLAG_RULES = {
     "tol": _POSITIVE,
     "mc": (int, lambda v: v >= 0, "a nonnegative integer"),
     "n_funcs": _COUNT,
-    "seed": (int, lambda v: v >= 0, "a nonnegative integer"),
+    "seed": (int, lambda v: 0 <= v < 2**128, "an integer in [0, 2**128)"),  # Philox's key
     "n": _COUNT, "rows": _COUNT, "cols": _COUNT,
     "p": (float, lambda v: 0 < v <= 1, "a number in (0, 1]"),
     "wmin": _POSITIVE, "wmax": _POSITIVE,

@@ -213,28 +213,6 @@ def independence_sweep(n_sites=10_000, seed=0):
     return {"sites": sites, "tally": tally, "witnesses": witnesses}
 
 
-# -- curvature-assisted minimum bound -----------------------------------------
-
-def min_form_bound(d_mu: float, n: float, K: float, alpha: float,
-                   t: float, R: float, d_w: float) -> float:
-    """Right-hand side min{d_mu, n/((1-a)2t) + n(2+d_w)d_mu/((1-a)R) + Kn/(2a)}.
-
-    The curvature-dimension hypothesis behind the second branch is asserted
-    by the caller, never verified here.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not all(0 < v < math.inf for v in (d_mu, n, d_w)):
-        raise ValueError("d_mu, n and d_w must be finite and positive")
-    if not (R > 1 and K > 0):
-        raise ValueError("R must exceed 1 and K must be positive")
-    t = check_time(t, positive=True)
-    second = (n / ((1.0 - alpha) * 2.0 * t)
-              + n * (2.0 + d_w) * d_mu / ((1.0 - alpha) * R)
-              + K * n / (2.0 * alpha))
-    return min(d_mu, second)
-
-
 # -- Harnack inequality --------------------------------------------------------
 
 def _harnack_form(c: GraphConstants, hops, gap: float):

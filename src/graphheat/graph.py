@@ -53,7 +53,7 @@ class WeightedGraph:
     to contiguous integer indices in insertion order. The edge record edges =
     (rows, cols, w, ptr) lists each adjacent pair (i, j) and w_ij row-major,
     row i at ptr[i]:ptr[i + 1]. The graph is immutable: the record and what is
-    derived from it (W, degrees, constants, hops) are built once, read-only.
+    derived from it (degrees, constants, hops) are built once, read-only.
     """
 
     def __init__(self, vertex_ids, edges, mu=None, weights_symmetric=True,
@@ -100,12 +100,10 @@ class WeightedGraph:
         rows, cols = np.array(sorted(weights), dtype=np.intp).reshape(-1, 2).T.copy()
         w = np.array([weights[p] for p in zip(rows.tolist(), cols.tolist())])
         self.edges = (rows, cols, w, np.searchsorted(rows, np.arange(n + 1)))
-        self.W = np.zeros((n, n))  # dense weights, for the outputs that are dense
-        self.W[rows, cols] = w
         with np.errstate(over="ignore"):  # an infinite degree is rejected below
             self.degrees = np.zeros(n)
             np.add.at(self.degrees, rows, w)
-        for a in (*self.edges, self.W, self.degrees):
+        for a in (*self.edges, self.degrees):
             a.setflags(write=False)
 
         if measure_mode == "unit":
@@ -155,10 +153,6 @@ class WeightedGraph:
         """Number of adjacent ordered pairs, halved when symmetric."""
         return len(self.edges[0]) // (2 if self.weights_symmetric else 1)
 
-    @property
-    def total_volume(self) -> float:
-        return float(self.mu.sum())
-
     def constants(self) -> GraphConstants:
         """Exact max/min constants over the finite vertex and edge sets."""
         return self._constants
@@ -207,7 +201,7 @@ class WeightedGraph:
     @cached_property
     def _jumps(self) -> tuple:
         # the walk's rates deg/mu; per record pair (i, j), j and a key 2i + the jump
-        # probability summed from 0 in row i (bit for bit W's row cumsum), exactly
+        # probability summed from 0 in row i (bit for bit the dense row's cumsum), exactly
         # 2i + 1 at a row's end: 2i + u (0 <= u < 1) finds row i, (2i - 1, 2i) absorbs rounding
         rates = self.degrees / self.mu
         rows, cols, w, ptr = self.edges
@@ -284,7 +278,9 @@ def graph_from_dict(obj: dict) -> WeightedGraph:
     """Build a graph from the file schema; every defect raises
     GraphFormatError."""
     try:
-        mode = obj["measure_mode"]
+        mode, symmetric = obj["measure_mode"], obj["weights_symmetric"]
+        if not isinstance(symmetric, bool):
+            raise GraphFormatError(f"weights_symmetric must be true or false, got {symmetric!r}")
         ids = []
         mu = {}
         for entry in obj["vertices"]:
@@ -297,7 +293,7 @@ def graph_from_dict(obj: dict) -> WeightedGraph:
         edge_list = [(e["u"], e["v"], e["w"]) for e in obj["edges"]]
         return WeightedGraph(ids, edge_list,
                              mu=mu if mode == "explicit" else None,
-                             weights_symmetric=bool(obj["weights_symmetric"]),
+                             weights_symmetric=symmetric,
                              measure_mode=mode)
     except GraphFormatError:
         raise

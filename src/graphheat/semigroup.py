@@ -54,8 +54,11 @@ class HeatKernel:
 
 
 def generator(g: WeightedGraph) -> np.ndarray:
-    """Matrix of the mu-Laplacian: L[x, y] = w_xy/mu(x), L[x, x] = -deg(x)/mu(x)."""
-    L = g.W / g.mu[:, None]
+    """Matrix of the mu-Laplacian: L[x, y] = w_xy/mu(x), L[x, x] = -deg(x)/mu(x),
+    built from the edge record."""
+    rows, cols, w, _ = g.edges
+    L = np.zeros((g.n, g.n))
+    L[rows, cols] = w / g.mu[rows]
     np.fill_diagonal(L, L.diagonal() - g.degrees / g.mu)
     return L
 

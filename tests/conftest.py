@@ -42,5 +42,13 @@ def random_graph(rng, n_min=4, n_max=30, p=0.3, w_lo=0.5, w_hi=2.0,
         return g
 
 
+def dense_weights(g):
+    """g's weights as a dense n x n matrix, built from its edge record."""
+    rows, cols, w, _ = g.edges
+    W = np.zeros((g.n, g.n))
+    W[rows, cols] = w
+    return W
+
+
 def log_uniform(rng, n, lo=1e-6, hi=1e6):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))

@@ -27,6 +27,13 @@ def test_laplacian_path_center():
 def test_laplacian_domain_mismatch():
     with pytest.raises(GraphFormatError):
         laplacian(path3(), [1.0, 2.0])
+    # a function given as an id -> value dict must name each vertex, and no other
+    assert np.array_equal(laplacian(path3(), {"c": 3.0, "a": 1.0, "b": 2.0}),
+                          laplacian(path3(), [1.0, 2.0, 3.0]))
+    with pytest.raises(GraphFormatError, match="missing values"):
+        laplacian(path3(), {"a": 1.0, "b": 2.0})
+    with pytest.raises(GraphFormatError, match="unknown vertices"):
+        laplacian(path3(), {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 2), (3, 2, 2)])

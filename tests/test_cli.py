@@ -251,6 +251,9 @@ EXIT_CODES = {
     "all-t-zero": (_DEG_PAIR, _times("all", "0"), 0, 0),
     "overflowing-rate": (_OVERFLOWING_RATE, _times("heat-gradient", "1"), 2, 2),
     "overflowing-degree": (_OVERFLOWING_DEGREE, _times("heat-gradient", "1"), 2, 2),
+    # loaded as symmetric and as asymmetric, where only a JSON boolean is allowed
+    "symmetric-flag-string": ({**_two_vertex_graph(), "weights_symmetric": "false"}, [], 2, 2),
+    "symmetric-flag-null": ({**_two_vertex_graph(), "weights_symmetric": None}, [], 2, 2),
 }
 
 
@@ -303,6 +306,7 @@ BAD_FLAGS = {
     "kernel-t-inf": ["kernel", "--t", "inf"],
     "kernel-tol-nan": ["kernel", "--tol", "nan"],
     "kernel-mc-negative": ["kernel", "--mc", "-5"],
+    "kernel-seed-too-large": ["kernel", "--mc", "10", "--seed", str(2**128)],
     "generate-n-not-a-number": ["generate", "--family", "path", "--n", "abc"],
     "generate-rows-not-a-number": ["generate", "--family", "grid",
                                    "--rows", "x", "--cols", "2"],
@@ -316,6 +320,7 @@ BAD_FLAGS = {
                                    "--p", "0.5", "--wmax", "2x"],
     "generate-seed-not-a-number": ["generate", "--family", "path", "--n", "3",
                                    "--seed", "s"],
+    "generate-grid-without-rows": ["generate", "--family", "grid", "--cols", "3"],
 }
 
 
@@ -329,6 +334,24 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, name):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_kernel_seed_range_ends_below_2_to_the_128(tmp_path):
+    out = tmp_path / "k.csv"
+    assert run(["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                "--mc", "10", "--seed", str(2**128 - 1), "--out", out]) == 0
+    assert out.read_text().count("\n") == 1 + 81
+
+
+@pytest.mark.parametrize("command", ["verify", "kernel"])
+def test_graph_file_that_is_not_json_exits_2(tmp_path, capsys, command):
+    graph = tmp_path / "g.json"
+    graph.write_text("{not json\n")
+    out = tmp_path / "out"
+    assert run([command, "--graph", graph, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -6,13 +6,13 @@ from scipy.optimize import minimize_scalar
 
 from conftest import k2, log_uniform, random_graph
 from graphheat import (HypothesisError, UnreachableError, WeightedGraph,
-                       all_pass, evolve, generate, gradient_estimate,
+                       all_pass, compose, evolve, generate, gradient_estimate,
                        gradient_lhs, harnack_factor, heat_gradient_estimate,
                        heat_kernel, heat_kernel_lower_bound,
                        heat_kernel_upper_bound, independence_sweep,
-                       min_form_bound, optimal_time_gap,
-                       prior_gradient_estimate, verify_diagonal_lower,
-                       verify_harnack, verify_kernel_lower, verify_kernel_upper,
+                       optimal_time_gap, prior_gradient_estimate,
+                       verify_diagonal_lower, verify_harnack,
+                       verify_kernel_lower, verify_kernel_upper,
                        verify_volume_growth, volume_growth_bound)
 from graphheat.reports import concat
 
@@ -117,34 +117,6 @@ def test_independence_witnesses_both_directions():
     assert res["tally"]["current"] >= 1
     assert res["tally"]["prior"] >= 1
     assert set(res["witnesses"]) == {"current", "prior"}
-
-
-# -- curvature-assisted minimum bound ---------------------------------------------
-
-def test_min_form_bound_never_exceeds_d_mu():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        val = min_form_bound(d_mu=rng.uniform(0.1, 5), n=rng.uniform(1, 10),
-                             K=rng.uniform(0.01, 5), alpha=rng.uniform(0.01, 0.99),
-                             t=rng.uniform(0.01, 100), R=rng.uniform(1.01, 100),
-                             d_w=rng.uniform(0.1, 10))
-        assert val <= 5.0
-
-
-def test_min_form_bound_arithmetic():
-    assert min_form_bound(1, 2, 1, 0.5, 1, 2, 2) == 1.0
-    # large t, R and small K drive the second branch toward 0
-    assert min_form_bound(1, 2, 1e-12, 0.5, 1e12, 1e12, 2) == pytest.approx(
-        0.0, abs=1e-9)
-
-
-def test_min_form_bound_parameter_validation():
-    for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(R=1.0), dict(t=0.0),
-                dict(K=0.0)):
-        kwargs = dict(d_mu=1, n=2, K=1, alpha=0.5, t=1, R=2, d_w=2)
-        kwargs.update(bad)
-        with pytest.raises(ValueError):
-            min_form_bound(**kwargs)
 
 
 # -- Harnack ---------------------------------------------------------------------
@@ -496,9 +468,9 @@ def _with(value):
     return u
 
 
-# probe -> call on the 3x3 mu = deg grid; each used to return NaN, raise
-# something other than ValueError, or emit reports (failing, or passing on a
-# NaN or infinite value)
+# probe -> call on the 3x3 mu = deg grid; each must raise ValueError, and most
+# used to return NaN, raise something other than ValueError, or emit reports
+# (failing, or passing on a NaN or infinite value)
 REJECTED = {
     "volume-growth-nan-time": lambda g: verify_volume_growth(g, [math.nan]),
     "diagonal-lower-nan-time": lambda g: verify_diagonal_lower(
@@ -518,13 +490,6 @@ REJECTED = {
     "time-gap-nan-d-mu": lambda g: optimal_time_gap(math.nan, 1.0, 1.0, 1.0),
     "time-gap-nan-mu-max": lambda g: optimal_time_gap(1.0, math.nan, 1.0, 1.0),
     "time-gap-nan-w-min": lambda g: optimal_time_gap(1.0, 1.0, math.nan, 1.0),
-    "min-form-nan-time": lambda g: min_form_bound(1, 2, 1, 0.5, math.nan, 2, 2),
-    "min-form-nan-k": lambda g: min_form_bound(1, 2, math.nan, 0.5, 1, 2, 2),
-    "min-form-nan-r": lambda g: min_form_bound(1, 2, 1, 0.5, 1, math.nan, 2),
-    "min-form-nan-n": lambda g: min_form_bound(1, math.nan, 1, 0.5, 1, 2, 2),
-    "min-form-nan-d-w": lambda g: min_form_bound(1, 2, 1, 0.5, 1, 2, math.nan),
-    "min-form-nan-d-mu": lambda g: min_form_bound(math.nan, 2, 1, 0.5, 1, 2, 2),
-    "min-form-negative-d-mu": lambda g: min_form_bound(-1, 2, 1, 0.5, 1, 2, 2),
     "gradient-nan-value": lambda g: gradient_estimate(g, _with(math.nan)),
     "gradient-inf-value": lambda g: gradient_estimate(g, _with(math.inf)),
     "prior-nan-value": lambda g: prior_gradient_estimate(g, _with(math.nan)),
@@ -542,6 +507,10 @@ REJECTED = {
                                                          [0.1, 1.0]),
     "ball-nan-radius": lambda g: g.ball("v0", math.nan),
     "ball-volume-nan-radius": lambda g: g.ball_volume("v0", math.nan),
+    "compose-two-graphs": lambda g: compose(heat_kernel(g, 1.0),
+                                            heat_kernel(_grid3(), 1.0)),
+    "harnack-one-distinct-time": lambda g: verify_harnack(g, np.ones(9),
+                                                          [1.0, 1.0]),
 }
 
 

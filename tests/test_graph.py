@@ -108,7 +108,7 @@ def test_ball_volume_monotone_and_saturates():
     g = random_graph(rng, connected=True)
     vols = [g.ball_volume("v0", r) for r in range(g.n + 1)]
     assert all(a <= b for a, b in zip(vols, vols[1:]))
-    assert vols[-1] == pytest.approx(g.total_volume)
+    assert vols[-1] == pytest.approx(g.mu.sum())
 
 
 def test_generate_path_n2_is_k2():
@@ -125,7 +125,7 @@ def test_generate_k3_degree_measure():
 def test_generate_random_deterministic():
     g1 = generate("random", n=20, p=0.3, seed=42)
     g2 = generate("random", n=20, p=0.3, seed=42)
-    assert np.array_equal(g1.W, g2.W)
+    assert all(np.array_equal(a, b) for a, b in zip(g1.edges, g2.edges))
 
 
 def test_generate_grid_edge_count():
@@ -159,6 +159,16 @@ def test_construction_invariants():
                       measure_mode="unit")
     with pytest.raises(GraphFormatError):
         WeightedGraph(["a", "b"], [("a", "b", 1.0)], mu={"a": 0.0, "b": 1.0})
+    for ids, edges, kwargs, match in [
+        (["a", "a"], [], dict(measure_mode="unit"), "duplicate vertex ids"),
+        (["a", "b"], [("a", "b", 1.0)], dict(measure_mode="lazy"), "unknown measure_mode"),
+        (["a", "b"], [("a", "b", 1.0)], dict(), "requires mu"),
+        (["a", "b"], [("a", "b", 1.0)], dict(mu={"a": 1.0}), "mu missing"),
+        (["a", "b"], [("a", "b", 1.0)], dict(mu=[1.0, 1.0, 1.0]), "one value per vertex"),
+        (["a", "b"], [(0, 2, 1.0)], dict(measure_mode="unit"), "out of range"),
+    ]:
+        with pytest.raises(GraphFormatError, match=match):
+            WeightedGraph(ids, edges, **kwargs)
 
 
 @pytest.mark.parametrize("edges, mu", [
@@ -186,7 +196,7 @@ def test_json_round_trip(tmp_path):
     save_graph(path, g)
     h = load_graph(path)
     assert h.ids.tolist() == g.ids.tolist()
-    assert np.array_equal(h.W, g.W)
+    assert all(np.array_equal(a, b) for a, b in zip(h.edges, g.edges))
     assert np.array_equal(h.mu, g.mu)
     assert h.measure_mode == g.measure_mode
 

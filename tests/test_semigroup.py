@@ -28,7 +28,7 @@ def test_kernel_k3_diagonal_and_limit():
         assert K.value("v0", "v0") == pytest.approx(
             1 / 6 + (1 / 3) * math.exp(-1.5 * t), abs=1e-11)
     K = heat_kernel(g, 60.0, tol=1e-13)
-    assert K.value("v0", "v0") == pytest.approx(1 / g.total_volume, abs=1e-11)
+    assert K.value("v0", "v0") == pytest.approx(1 / g.mu.sum(), abs=1e-11)
 
 
 def test_kernel_rejects_bad_tol_and_time():

@@ -4,7 +4,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from conftest import k2, random_graph
+from conftest import dense_weights, k2, random_graph
 from graphheat import WeightedGraph, generate, heat_kernel, simulate
 from graphheat.cli import MC_ALPHA
 
@@ -90,8 +90,9 @@ def test_jump_keys_are_row_cumsums_of_the_dense_weights():
     for _ in range(10):
         g = random_graph(rng, n_max=40, p=0.5, w_lo=0.1, w_hi=3.0)
         _, cols, keys = g._jumps
-        rows, ref_cols = np.nonzero(g.W)
-        ref = 2 * rows + np.cumsum(g.W, axis=1)[rows, ref_cols] / g.degrees[rows]
+        W = dense_weights(g)
+        rows, ref_cols = np.nonzero(W)
+        ref = 2 * rows + np.cumsum(W, axis=1)[rows, ref_cols] / g.degrees[rows]
         last = np.diff(rows, append=g.n) > 0
         ref[last] = 2 * rows[last] + 1.0
         assert np.array_equal(cols, ref_cols) and np.array_equal(keys, ref)
