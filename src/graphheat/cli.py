@@ -12,6 +12,7 @@ import contextlib
 import csv
 import math
 import os
+import pickle
 import shutil
 import stat
 import sys
@@ -30,7 +31,7 @@ from .calculus import laplacian, sqrt_identity_residual
 SUITES = ("gradient", "heat-gradient", "previous", "harnack",
           "kernel-bounds", "volume")
 LONGEST_FIRST = ("kernel-bounds", "harnack", "heat-gradient", "previous",
-                 "gradient", "volume")  # the order units start in on a pool
+                 "gradient", "volume")  # the order forked units start in
 NEEDS_HOPS = ("harnack", "kernel-bounds", "volume")
 POOL_MIN_VERTICES = 64  # on a smaller graph a fork costs about what the suites take
 
@@ -85,7 +86,8 @@ def cmd_generate(args) -> int:
     except (ValueError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_graph(args.out, g)
+    with _Staged(args.out) as (_, path):
+        save_graph(path, g)
     print(f"wrote {args.out}: {g.n} vertices, {g.num_edges} edges, "
           f"measure={g.measure_mode}")
     return 0
@@ -135,17 +137,14 @@ def _unmet(g, suite, times):
             estimates._require_mu_deg(g, f"suite {suite!r}")
     except estimates.HypothesisError as exc:
         return str(exc)
-    return None
 
 
 class _Staged:
-    """(target, stage) of a report to out, or (None, None) without out, as a
-    context. stage is made empty here, so an unwritable out fails before any
-    work; on exit os.replace moves it onto target, and if the block raised it is
-    removed, so a crashed run leaves out as it found it. A regular or new file (a
-    symlink's target) is staged in a hidden sibling with its mode (or a new
-    file's); anything else, such as a pipe, a device or the file this process's
-    stdout or stderr is, is written in place: target and stage are out itself."""
+    """(target, stage) of a file written to out ((None, None) without out), as a
+    context. stage is made empty first, so an unwritable out fails before any
+    work; on exit os.replace moves it onto target, or it is removed if the block
+    raised. A regular or new file (a symlink's target) is staged in a hidden
+    sibling with its mode; a pipe, a device, or the stdout or stderr file is out itself."""
 
     def __init__(self, out):
         self.target = self.stage = out or None
@@ -174,16 +173,12 @@ class _Staged:
         return self.target, self.stage
 
     def __exit__(self, kind, *_):
-        if self.stage == self.target:
-            return
-        replaced = False
-        try:
-            if kind is None:
-                os.replace(self.stage, self.target)
-                replaced = True
-        finally:
-            if not replaced:
-                os.remove(self.stage)
+        if self.stage != self.target:
+            with contextlib.ExitStack() as undo:
+                undo.callback(os.remove, self.stage)  # unless the move is made
+                if kind is None:
+                    os.replace(self.stage, self.target)
+                    undo.pop_all()
 
 
 def _is_fd(st, fd) -> bool:
@@ -212,85 +207,104 @@ def _unit_records(g, args, unit, failure):
 
 
 def _workers(g, units) -> int:
-    """Processes to run the units in: one per CPU this process may run on, at
-    most one per unit; 1 (inline) on a small graph or without
-    os.sched_getaffinity."""
+    """Units to run at once in forked children: one per usable CPU, at most one
+    per unit; 1 (inline) on a small graph or without os.sched_getaffinity."""
     if g.n < POOL_MIN_VERTICES or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), len(units))
 
 
-_pooled = None  # (graph, args, units, part files or None), in a pool worker
+class UnitError(RuntimeError):
+    """A forked unit ended without a result; or the traceback of one that raised."""
 
 
-def _start_worker(*state) -> None:
-    global _pooled
-    _pooled = state
-
-
-def _submit(workers, g, args, units, parts):
-    """A pool of forked workers, which inherit g, args, units and parts, and
-    each unit's future on it in report order. The units start longest first;
-    a kernel at a later time takes more series terms."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    pool = ProcessPoolExecutor(workers, get_context("fork"), initializer=_start_worker,
-                               initargs=(g, args, units, parts))
-    futures = [None] * len(units)
-    try:
-        for i in sorted(range(len(units)), key=lambda i: (LONGEST_FIRST.index(units[i][0]),
-                                                          -max(units[i][1]))):
-            futures[i] = pool.submit(_run_unit, i)
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    return pool, futures
-
-
-def _run_unit(i):
-    """In a pool worker: write unit i's rows to its part file (if there are
-    parts) and return (summary, [first failure] or [])."""
-    g, args, units, parts = _pooled
+def _run_unit(g, args, unit, part):
+    """(summary, [first failure] or []) of unit, its rows written to part if any."""
     failure = []
-    records = _unit_records(g, args, units[i], failure)
-    if parts is None:
+    records = _unit_records(g, args, unit, failure)
+    if part is None:
         return reports.summarize(records), failure
-    with reports.open_report(parts[i].fileno()) as fh:
+    with reports.open_report(part.fileno()) as fh:
         write_rows = reports.write_jsonl_rows if args.format == "json" else reports.write_csv_rows
         return write_rows(fh, records), failure
 
 
-def _parts(futures, parts, failure):
-    """Each unit's reports.Part in report order, as its worker finishes it;
-    failure gets the first failing row of the first unit that has one. A unit
-    that raises raises here as soon as it ends, whichever unit is awaited."""
-    from concurrent.futures import FIRST_COMPLETED, wait
-    pending = set(futures)
-    for i, future in enumerate(futures):
-        while not future.done():
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for f in done:
-                f.result()
-        summary, unit_failure = future.result()
-        if not failure:
-            failure += unit_failure
-        yield reports.Part(parts and parts[i], summary)
+def _fork_unit(g, args, unit, part):
+    """(pid, pipe) of a child forked to run unit; it sends (its _run_unit result,
+    None) or (what it raised, the traceback text), pickled, and ends."""
+    r, w = os.pipe()
+    if pid := os.fork():
+        os.close(w)
+        return pid, r
+    try:  # the child, which never returns
+        import signal
+        os.close(r)  # so a write fails, rather than waits, once the parent is gone
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            sent = _run_unit(g, args, unit, part), None
+        except BaseException as exc:
+            import traceback
+            sent = exc, "".join(traceback.format_exception(exc))
+        try:
+            pickle.loads(data := pickle.dumps(sent))
+        except Exception:  # what the parent could not rebuild goes as text
+            data = pickle.dumps((UnitError(f"unit {unit} raised what cannot be sent"), sent[1]))
+        with open(w, "wb") as fh:
+            fh.write(data)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
-def _end_workers(pool) -> None:
-    # ends the units still running; the shutdown that follows joins the workers
-    for worker in pool._processes.values():  # pid -> multiprocessing.Process
-        worker.terminate()
+def _forked_parts(g, args, units, parts, workers, failure):
+    """Each unit's reports.Part in report order, each unit run in a fresh child
+    (so a process holds one unit's memory), at most `workers` at once, longest
+    first: a kernel at a later time takes more series terms. failure gets the
+    first failing row of the first unit with one. A unit raises as soon as it
+    ends; then, as on close, the running children are ended and reaped."""
+    import select, signal  # only here, as the inline path needs neither
+    order = iter(sorted(range(len(units)), key=lambda i: (LONGEST_FIRST.index(units[i][0]),
+                                                          -max(units[i][1]))))
+    running, done, poll = {}, {}, select.poll()  # pipe -> (unit index, pid)
+    try:
+        for i in range(len(units)):
+            while True:  # a free slot is refilled before a part is yielded
+                while len(running) < workers and (j := next(order, None)) is not None:
+                    pid, r = _fork_unit(g, args, units[j], parts and parts[j])
+                    running[r] = j, pid
+                    poll.register(r, select.POLLIN)
+                if i in done:
+                    break
+                for r, _ in poll.poll():  # a child that sends, or ends
+                    poll.unregister(r)
+                    with open(r, "rb", closefd=False) as fh:  # to EOF, so the child can end
+                        data = fh.read()
+                    j, pid = running.pop(r)
+                    os.close(r)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if code:
+                        how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+                        raise UnitError(f"unit {units[j]} ended {how} without a result")
+                    done[j], text = pickle.loads(data)
+                    if text:
+                        raise done[j] from UnitError(text)
+            summary, unit_failure = done.pop(i)
+            if not failure:
+                failure += unit_failure
+            yield reports.Part(parts and parts[i], summary)
+    finally:
+        for r, (_, pid) in running.items():
+            os.kill(pid, signal.SIGTERM)
+            os.close(r)
+            os.waitpid(pid, 0)
 
 
 def cmd_verify(args) -> int:
     g = args.loaded_graph
     names = args.suite.split(",")
-    skip_gated = "all" in names
-    if skip_gated:
+    if skip_gated := "all" in names:
         names = list(SUITES)
-    bad = [s for s in names if s not in SUITES]
-    if bad:
+    if bad := [s for s in names if s not in SUITES]:
         print(f"error: unknown suite(s) {bad}", file=sys.stderr)
         return 2
     try:
@@ -303,7 +317,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     units = _units([s for s in names if s not in skipped], args.times)
-    failure, pool, parts = [], None, None
+    failure, parts, forked = [], None, None
     with _Staged(args.out) as (out, path):
         try:
             if any(suite in NEEDS_HOPS for suite, _ in units):
@@ -313,11 +327,9 @@ def cmd_verify(args) -> int:
                 if out:
                     parts = [tempfile.TemporaryFile(dir=os.path.dirname(path) if path != out else None)
                              for _ in units]
-                pool, futures = _submit(workers, g, args, units, parts)
-                records = _parts(futures, parts, failure)
+                records = forked = _forked_parts(g, args, units, parts, workers, failure)
             else:
-                # chained, as a generator expression would hold each record while
-                # the next is made
+                # chained: a generator expression would hold a record while the next is made
                 records = chain.from_iterable(_unit_records(g, args, unit, failure) for unit in units)
             if not out:
                 summary = reports.summarize(records)
@@ -328,24 +340,17 @@ def cmd_verify(args) -> int:
                 summary = reports.write_jsonl(path, records, config)
             else:
                 summary = reports.write_csv(path, records)
-        except BaseException:
-            if pool:  # a unit raised, or this process was stopped
-                _end_workers(pool)
-            raise
         finally:
-            if pool:  # units not started are dropped; the workers are joined
-                pool.shutdown(cancel_futures=True)
+            if forked:  # ends the children of a run stopped early
+                forked.close()
             for part in parts or ():
                 part.close()
-    ok = True
     for check, s in sorted(summary.items()):
-        status = "pass" if s["n_pass"] == s["n"] else "FAIL"
-        print(f"{check}: {s['n_pass']}/{s['n']} {status} "
+        print(f"{check}: {s['n_pass']}/{s['n']} {'pass' if s['n_pass'] == s['n'] else 'FAIL'} "
               f"(min slack {s['min_slack']:.3e})")
-        ok = ok and s["n_pass"] == s["n"]
     for suite, why in skipped.items():
         print(f"{suite}: skipped ({why})")
-    if not ok:
+    if failure:  # a failing row, so a check with n_pass < n
         print(f"first failure: {failure[0]}", file=sys.stderr)
         return 1
     return 0
@@ -359,9 +364,7 @@ def cmd_kernel(args) -> int:
     cells = max(g.n**2 * len(args.times), 1)
     z = NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
     consistent = True
-    header = ["t", "x", "y", "p"]
-    if args.mc:
-        header += ["p_hat", "half_width", "n_walks", "seed"]
+    header = ["t", "x", "y", "p"] + ["p_hat", "half_width", "n_walks", "seed"] * bool(args.mc)
     # each source's rows are written as they are made
     with _Staged(args.out) as (_, path), open(path, "w", newline="", encoding="utf-8") \
             if path else contextlib.nullcontext(sys.stdout) as out:
@@ -385,8 +388,7 @@ def cmd_kernel(args) -> int:
         verdict = "consistent" if consistent else "INCONSISTENT"
         print(f"monte-carlo vs series: {verdict} (family-wise alpha "
               f"{MC_ALPHA:g}, {z:.2f} sigma per cell)", file=sys.stderr)
-        return 0 if consistent else 1
-    return 0
+    return 0 if consistent else 1
 
 
 # -- entry point -----------------------------------------------------------------
@@ -397,10 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a graph JSON file")
     p_gen.add_argument("--family", required=True, choices=FAMILIES)
-    p_gen.add_argument("--n")
-    p_gen.add_argument("--rows")
-    p_gen.add_argument("--cols")
-    p_gen.add_argument("--p")
+    for flag in ("--n", "--rows", "--cols", "--p"):
+        p_gen.add_argument(flag)
     p_gen.add_argument("--wmin", default=1.0)
     p_gen.add_argument("--wmax", default=1.0)
     p_gen.add_argument("--measure", default="unit", choices=MEASURE_MODES)

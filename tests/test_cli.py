@@ -2,9 +2,9 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -12,7 +12,6 @@ import tempfile
 import time
 import tracemalloc
 import weakref
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +57,26 @@ def test_generate_grid_degree(tmp_path):
 def test_generate_bad_flags(tmp_path):
     assert run(["generate", "--family", "random", "--n", "5", "--p", "0",
                 "--out", tmp_path / "x.json"]) == 2
+
+
+def test_generate_crashed_mid_write_leaves_out_as_it_found_it(tmp_path, monkeypatch):
+    # the graph is written to a hidden sibling of --out, which is removed when
+    # the write fails, so a half-written graph never replaces --out
+    def half_then_fail(obj, fh, **kwargs):
+        fh.write('{"vertices": [')
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(json, "dump", half_then_fail)
+    out = tmp_path / "graphs" / "g.json"
+    out.parent.mkdir()
+    out.write_bytes(b"kept\r\n")
+    out.chmod(0o640)
+    argv = ["generate", "--family", "path", "--n", "3", "--out", out]
+    assert run(argv) == 2
+    assert out.read_bytes() == b"kept\r\n" and stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert list(out.parent.iterdir()) == [out]
+    out.unlink()
+    assert run(argv) == 2
+    assert list(out.parent.iterdir()) == []
 
 
 def test_verify_all_pass_k2(tmp_path):
@@ -448,7 +467,7 @@ def _inline(monkeypatch):
 
 
 def _pooled(monkeypatch):
-    # two CPUs and no size floor: the units run in two forked workers
+    # two CPUs and no size floor: the units run in forked children, two at a time
     if not hasattr(os, "fork"):
         pytest.skip("needs fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -460,7 +479,7 @@ def test_verify_crashed_in_its_last_suite_leaves_out_as_it_found_it(
         tmp_path, monkeypatch, fmt):
     # rows are written as the suites run, so by the time the last suite dies
     # the earlier suites' rows are on disk, in a temporary sibling of --out;
-    # what the suite saw goes to a file, as a worker's memory is its own
+    # what the suite saw goes to a file, as a forked child's memory is its own
     _inline(monkeypatch)
     run_suite, seen = cli._run_suite, tmp_path / "seen.json"
 
@@ -492,23 +511,25 @@ def _open_fds():
 
 @pytest.fixture
 def clean_exit(tmp_path, monkeypatch):
-    # after the test's main() calls: no worker alive, no descriptor left open,
-    # and nothing left in the temporary directory the part files go to
+    # after the test's main() calls: no child process left, running or unreaped,
+    # no descriptor left open, and nothing left in the temporary directory the
+    # part files go to
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     fds = _open_fds()
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
     assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("crash", ["raise", "exit"])
 def test_verify_worker_crash_leaves_out_as_it_found_it(tmp_path, monkeypatch, clean_exit, crash):
-    # the last unit in report order dies in its worker, by an exception or by
-    # the process's end; the parent raises it (a BrokenProcessPool for the
-    # end), joins the workers and removes the stage
+    # the last unit in report order dies in its child, by an exception or by
+    # the process's end; the parent raises it (a UnitError naming the unit and
+    # the exit status for the end), reaps the children and removes the stage
     _pooled(monkeypatch)
     run_suite, parent = cli._run_suite, os.getpid()
 
@@ -523,22 +544,23 @@ def test_verify_worker_crash_leaves_out_as_it_found_it(tmp_path, monkeypatch, cl
     out = tmp_path / "reports" / "r.jsonl"
     out.parent.mkdir()
     argv = ["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json", "--out"]
-    expected = RuntimeError if crash == "raise" else BrokenProcessPool
+    expected = {"raise": (RuntimeError, "last suite crashed"),
+                "exit": (cli.UnitError, r"unit \('volume', .* with exit status 1 without a result")}
     for kept in (None, b"kept\n"):
         if kept:
             out.write_bytes(kept)
-        with pytest.raises(expected):
+        with pytest.raises(expected[crash][0], match=expected[crash][1]):
             run([*argv, out])
         assert list(out.parent.iterdir()) == ([out] if kept else [])
         assert not kept or out.read_bytes() == kept
-    with pytest.raises(expected):  # an in-place --out: parts in the temp directory
+    with pytest.raises(expected[crash][0]):  # an in-place --out: parts in the temp directory
         run([*argv, os.devnull])
 
 
 def test_pooled_unit_that_raises_ends_the_run_at_once(tmp_path, monkeypatch, clean_exit):
     # volume, first in the report, is slow; gradient raises in the other
-    # worker meanwhile: main raises it without waiting for volume, whose
-    # worker is ended, and the stage is removed
+    # child meanwhile: main raises it without waiting for volume, whose
+    # child is ended, and the stage is removed
     _pooled(monkeypatch)
     run_suite, ended = cli._run_suite, tmp_path / "volume-ended"
 
@@ -559,9 +581,88 @@ def test_pooled_unit_that_raises_ends_the_run_at_once(tmp_path, monkeypatch, cle
     assert list(out.parent.iterdir()) == []
 
 
+def test_pooled_run_forks_a_fresh_child_per_unit(tmp_path, monkeypatch, clean_exit):
+    # eight units on two slots: each unit still runs in a child of its own
+    _pooled(monkeypatch)
+    run_suite, pids = cli._run_suite, tmp_path / "pids"
+    pids.mkdir()
+
+    def note_pid(g, suite, times, *args):
+        (pids / f"{suite}-{max(times)}").write_text(str(os.getpid()))
+        yield from run_suite(g, suite, times, *args)
+    monkeypatch.setattr(cli, "_run_suite", note_pid)
+    assert run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                "--out", tmp_path / "r.jsonl"]) == 0
+    seen = [p.read_text() for p in pids.iterdir()]
+    assert len(seen) == len(set(seen)) == len(cli.SUITES) + 2  # kernel-bounds: one unit per time
+    assert str(os.getpid()) not in seen
+
+
+def test_pooled_unit_killed_mid_unit_names_the_unit_and_signal(tmp_path, monkeypatch, clean_exit):
+    # harnack's child is killed once its first record is written: the run
+    # raises an error naming the unit and the signal, and --out is left as it was
+    _pooled(monkeypatch)
+    run_suite = cli._run_suite
+
+    def killed(g, suite, *args):
+        for r in run_suite(g, suite, *args):
+            yield r
+            if suite == "harnack":
+                os.kill(os.getpid(), signal.SIGKILL)
+    monkeypatch.setattr(cli, "_run_suite", killed)
+    out = tmp_path / "reports" / "r.jsonl"
+    out.parent.mkdir()
+    out.write_bytes(b"kept\n")
+    with pytest.raises(cli.UnitError, match=rf"unit \('harnack', .* by signal {int(signal.SIGKILL)} without"):
+        run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json", "--out", out])
+    assert out.read_bytes() == b"kept\n" and list(out.parent.iterdir()) == [out]
+
+
+class _TwoArgError(Exception):
+    # pickled as _TwoArgError(message), which cannot be called
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("holds a lambda", lambda: None),
+                                 _TwoArgError("cannot be rebuilt", 3),
+                                 RuntimeError("x" * (1 << 17))],
+                         ids=["unpicklable", "unrebuildable", "over-64KiB"])
+def test_pooled_exception_reaches_the_parent_with_its_traceback(tmp_path, monkeypatch, clean_exit, exc):
+    # one that pickle cannot carry or rebuild comes as a UnitError, one larger
+    # than a pipe holds as itself; either way at once, with the child's
+    # traceback as its cause
+    _pooled(monkeypatch)
+
+    def raises(g, suite, *args):
+        raise exc
+        yield
+
+    def timed_out(*_):
+        raise AssertionError("the unit's exception did not reach the parent")
+    monkeypatch.setattr(cli, "_run_suite", raises)
+    before = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(20)
+    try:
+        with pytest.raises(Exception) as info:
+            run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                 "--suite", "gradient,volume", "--out", tmp_path / "r.jsonl"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    cause = str(info.value.__cause__)
+    assert isinstance(info.value.__cause__, cli.UnitError)
+    assert cause.startswith("Traceback") and ", in raises\n" in cause and str(exc) in cause
+    if type(exc) is _TwoArgError or len(exc.args) > 1:
+        assert type(info.value) is cli.UnitError and "cannot be sent" in str(info.value)
+    else:
+        assert type(info.value) is RuntimeError and str(info.value) == str(exc)
+    assert list(tmp_path.glob("*.jsonl*")) == []
+
+
 def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, capsys, clean_exit):
     # every suite runs, kernel-bounds as one unit per time; the pooled run's
-    # units run in workers, and its report, CSV and summary are the inline run's
+    # units run in children, and its report, CSV and summary are the inline run's
     graph = tmp_path / "grid4.json"
     save_graph(graph, generate("grid", rows=4, cols=4, measure_mode="degree"))
     argv = ["verify", "--graph", graph, "--suite", "all", "--t", "0.2,1,3.5",
@@ -621,7 +722,7 @@ def test_pooled_summary_is_the_serial_summary(tmp_path, monkeypatch, capsys, tim
 
 
 def test_pooled_first_failure_is_the_first_in_report_order(tmp_path, monkeypatch, capsys):
-    # kernel-bounds fails in one worker before gradient, the first suite in
+    # kernel-bounds fails in one child before gradient, the first suite in
     # the report, fails in the other; the line names gradient's row
     _pooled(monkeypatch)
     failed = tmp_path / "kernel-failed"
@@ -819,7 +920,7 @@ def test_verify_blocks_join_to_the_public_record(tmp_path, monkeypatch, suite, n
 @pytest.mark.parametrize("where", ["inline", "pooled"])
 def test_kernel_and_volume_units_load_no_numpy_random(tmp_path, where):
     # only the function-sampling suites draw, so the other units, in the
-    # parent or in a worker, go without numpy.random
+    # parent or in a forked child, go without numpy.random
     script = f"""
 import os, sys
 import graphheat.cli as cli
@@ -900,15 +1001,28 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_cli_import_loads_no_process_pool():
-    # verify imports the pool when it forks workers, so every other command,
-    # and the set-up time the bench measures, go without it
-    code = ("import sys, graphheat.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # verify forks its units' children itself, so neither the import nor a
+    # pooled verify run loads concurrent or multiprocessing
+    script = f"""
+import os, sys
+from graphheat import cli
+def pool():
+    return sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))
+print(pool())
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cli.POOL_MIN_VERTICES = 0
+fork_unit, forks = cli._fork_unit, []
+cli._fork_unit = lambda *args: forks.append(args) or fork_unit(*args)
+assert cli.main(["verify", "--graph", {str(ROOT / "example_graphs" / "grid3x3.json")!r},
+                 "--suite", "all", "--out", {str(tmp_path / "r.jsonl")!r}]) == 0
+print(len(forks), pool())
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", f"{len(cli.SUITES) + 2} []")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
