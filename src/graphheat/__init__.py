@@ -9,8 +9,7 @@ volume-growth bounds.
 from .graph import (GraphConstants, GraphFormatError, UnreachableError,
                     WeightedGraph, as_vertex_function, generate, graph_from_dict,
                     graph_to_dict, load_graph, save_graph)
-from .calculus import (gamma, laplacian, neg_sqrt_laplacian_bound,
-                       sqrt_identity_residual)
+from .calculus import gamma, laplacian, sqrt_identity_residual
 from .semigroup import (HeatKernel, compose, dense_oracle, evolve, generator,
                         heat_kernel)
 from .estimates import (HypothesisError, gradient_estimate, gradient_lhs,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import WeightedGraph, as_vertex_function
-from .reports import site_reports
 
 POSITIVITY_FLOOR = 1e-300
 
@@ -65,10 +64,3 @@ def sqrt_identity_residual(g: WeightedGraph, u) -> np.ndarray:
     s = np.sqrt(u)
     return 2.0 * gamma(g, s) - (laplacian(g, u) - 2.0 * s * laplacian(g, s))
 
-
-def neg_sqrt_laplacian_bound(g: WeightedGraph, u):
-    """Per-vertex check of -L(sqrt u)(x) <= (deg(x)/mu(x)) * sqrt(u)(x); an
-    (n, m) batch gives the rows of each column in turn."""
-    s = np.sqrt(require_positive(g, u))
-    return site_reports("neg_sqrt_laplacian", np.tile(g.ids, s.shape[1] if s.ndim == 2 else 1),
-                        -laplacian(g, s).ravel("F"), ((g.degrees / g.mu) * s.T).T.ravel("F"))

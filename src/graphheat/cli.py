@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of " + ",".join(SUITES) + " or 'all'")
     p_ver.add_argument("--t", default=",".join(str(t) for t in DEFAULT_TIMES))
     p_ver.add_argument("--seed", default=0)
-    p_ver.add_argument("--tol", default=1e-10)
+    p_ver.add_argument("--tol", default=semigroup.DEFAULT_TOL)
     p_ver.add_argument("--n-funcs", default=DEFAULT_N_FUNCS)
     p_ver.add_argument("--out")
     p_ver.add_argument("--format", default="json", choices=("json", "csv"))
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker = sub.add_parser("kernel", help="dump heat kernel values as CSV")
     p_ker.add_argument("--graph", required=True)
     p_ker.add_argument("--t", default="1.0")
-    p_ker.add_argument("--tol", default=1e-10)
+    p_ker.add_argument("--tol", default=semigroup.DEFAULT_TOL)
     p_ker.add_argument("--mc", default=0,
                        help="append Monte Carlo estimates with this many walks")
     p_ker.add_argument("--seed", default=0)

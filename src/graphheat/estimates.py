@@ -235,18 +235,18 @@ def harnack_factor(g: WeightedGraph, x, y, t1: float, t2: float) -> float:
     return float(_harnack_form(g.constants(), g.dist(x, y), t2 - t1))
 
 
-def verify_harnack(g: WeightedGraph, u0, time_grid, pairs=None, seed=0):
+def verify_harnack(g: WeightedGraph, u0, time_grid, seed=0):
     """Check u(x, t1) <= u(y, t2) * harnack_factor over sampled sites.
 
-    pairs defaults to all ordered vertex pairs when the graph has at most 30
+    The pairs are all ordered vertex pairs when the graph has at most 30
     vertices. Otherwise each function in turn draws HARNACK_MAX_PAIRS uniform
     pairs from one default_rng(seed), so the first function of a batch gets
     the pairs a call with it alone gets. Unreachable pairs are dropped.
     """
-    return concat(_harnack_blocks(g, u0, time_grid, pairs, seed))
+    return concat(_harnack_blocks(g, u0, time_grid, seed))
 
 
-def _harnack_blocks(g, u0, time_grid, pairs=None, seed=0):
+def _harnack_blocks(g, u0, time_grid, seed=0):
     # verify_harnack's rows, one record per function block
     u0 = require_positive(g, u0)
     times = sorted(set(map(check_time, time_grid)))
@@ -257,14 +257,11 @@ def _harnack_blocks(g, u0, time_grid, pairs=None, seed=0):
     snapshots = {t: _columns(evolve(g, u0, t, tol=HARNACK_SERIES_TOL))
                  for t in times}
     m = len(_columns(u0))
-    if pairs is None and g.n <= 30:
+    if g.n <= 30:
         picks = [np.divmod(np.arange(g.n * g.n), g.n)] * m
-    elif pairs is None:  # (function, pair, end) in draw order
+    else:  # (function, pair, end) in draw order
         picks = np.random.default_rng(seed).integers(
             g.n, size=(m, HARNACK_MAX_PAIRS, 2)).transpose(0, 2, 1)
-    else:
-        pairs = [(g._resolve(x), g._resolve(y)) for x, y in pairs]
-        picks = [np.array(pairs, dtype=np.intp).reshape(-1, 2).T] * m
     reachable = [np.isfinite(D[I, J]) for I, J in picks]
     picks = [(I[f], J[f]) for (I, J), f in zip(picks, reachable)]
     gaps = [(t1, t2) for a, t1 in enumerate(times) for t2 in times[a + 1:]]

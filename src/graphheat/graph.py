@@ -36,14 +36,12 @@ class GraphConstants:
     mu_max  = max_x mu(x)
     w_min   = min over adjacent pairs of w_xy
     d       = max over adjacent pairs of mu(x)/w_xy
-    d_w     = max over adjacent pairs of deg(x)/w_xy
     """
 
     d_mu: float
     mu_max: float
     w_min: float
     d: float
-    d_w: float
 
 
 class WeightedGraph:
@@ -167,7 +165,6 @@ class WeightedGraph:
             mu_max=float(np.max(self.mu)),
             w_min=float(np.min(w)),
             d=float(np.max(self.mu[rows] / w)),
-            d_w=float(np.max(self.degrees[rows] / w)),
         )
 
     # -- metric structure --------------------------------------------------
@@ -274,6 +271,13 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     }
 
 
+def _json(value, kind: str, what: str):
+    """value if it is a JSON `kind`: "string", or "number" (not true or false)."""
+    if isinstance(value, bool) or not isinstance(value, str if kind == "string" else (int, float)):
+        raise GraphFormatError(f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def graph_from_dict(obj: dict) -> WeightedGraph:
     """Build a graph from the file schema; every defect raises
     GraphFormatError."""
@@ -281,16 +285,16 @@ def graph_from_dict(obj: dict) -> WeightedGraph:
         mode, symmetric = obj["measure_mode"], obj["weights_symmetric"]
         if not isinstance(symmetric, bool):
             raise GraphFormatError(f"weights_symmetric must be true or false, got {symmetric!r}")
-        ids = []
-        mu = {}
+        ids, mu = [], {}
         for entry in obj["vertices"]:
-            ids.append(entry["id"])
+            ids.append(_json(entry["id"], "string", "vertex id"))
             if "mu" in entry:
                 if mode != "explicit":
                     raise GraphFormatError(
                         "mu entries are only allowed with measure_mode='explicit'")
-                mu[entry["id"]] = entry["mu"]
-        edge_list = [(e["u"], e["v"], e["w"]) for e in obj["edges"]]
+                mu[entry["id"]] = _json(entry["mu"], "number", "mu")
+        edge_list = [(_json(e["u"], "string", "edge end"), _json(e["v"], "string", "edge end"),
+                      _json(e["w"], "number", "weight")) for e in obj["edges"]]
         return WeightedGraph(ids, edge_list,
                              mu=mu if mode == "explicit" else None,
                              weights_symmetric=symmetric,
@@ -305,7 +309,7 @@ def load_graph(path) -> WeightedGraph:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad text encoding
+        except (ValueError, RecursionError) as exc:  # bad, too deep or badly encoded JSON
             raise GraphFormatError(f"invalid JSON in {path}: {exc}") from exc
     return graph_from_dict(obj)
 

@@ -1,6 +1,7 @@
 """Per-check inequality records, held as columns built from per-site arrays,
 and their JSON-lines and CSV emission."""
 
+import collections
 import csv
 import io
 import json
@@ -134,9 +135,7 @@ def summarize(reports) -> dict:
     checks first appear: {check: {"n", "n_pass", "min_slack"}}. A NaN slack
     makes its check's minimum NaN."""
     summary = {}
-    for r in _records(reports):
-        _fold(summary, r)
-        del r  # let go of a record before the next one is made
+    collections.deque(_tally(reports, summary), maxlen=0)  # holds no record
     return summary
 
 
@@ -191,10 +190,11 @@ def _same(col) -> bool:
     return bool((bits == bits[0]).all())
 
 
-def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=None):
-    """Write each record's rows by one template: keys[i] precedes field i and end
-    ends a row; check, site, passed and extra (if given, written before end) give
-    a column's texts, and listed(k) the (start, separator, stop, texts) of a list
+def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=None) -> dict:
+    """Write each record's rows by one template and return summarize(reports),
+    folded while the rows are written: keys[i] precedes field i and end ends a
+    row; check, site, passed and extra (if given, written before end) give a
+    column's texts, and listed(k) the (start, separator, stop, texts) of a list
     site of k positions; reprs(floats) the texts of floats. A column whose rows
     all hold one object, or one float bit pattern, is text of the template; each
     other column fills a slot, CHUNK_ROWS rows at a time, before a chunk's join."""
@@ -225,13 +225,15 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
                 rows[j::len(row)] = texts(col[i:i + CHUNK_ROWS])
             fh.write("".join(rows))
 
-    for r in _records(reports):
+    summary = {}
+    for r in _tally(reports, summary):
         if isinstance(r, Part):
             fh.flush()
             _append(fh.fileno(), r.file.fileno())
         elif len(r):
             write(r)
         del r  # let go of a record before the next one is made
+    return summary
 
 
 def _append(dst, src) -> None:
@@ -261,12 +263,9 @@ def write_jsonl_rows(fh, reports) -> dict:
     of one json.dumps per line."""
     dumps = _texts(json.dumps)
     keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
-    summary = {}
-    _write(fh, _tally(reports, summary), keys, "}\n", dumps, dumps,
-           lambda k: ("[", ", ", "]", dumps), dumps,
-           lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
-           _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
-    return summary
+    return _write(fh, reports, keys, "}\n", dumps, dumps, lambda k: ("[", ", ", "]", dumps), dumps,
+                  lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
+                  _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
 
 
 def write_jsonl(path, reports, config) -> dict:
@@ -298,11 +297,9 @@ def write_csv_rows(fh, reports) -> dict:
         if k > 1:
             return '"[', ", ", ']"', inner
         return ("", "", "", single) if k else ("[", "", "]", None)
-    summary = {}
-    _write(fh, _tally(reports, summary), ["", *","*7], "\r\n", _texts(_csv_field),
-           _texts(lambda v: _csv_field(json.dumps(v))), listed, _texts(str),
-           lambda v: list(map(float.__repr__, v.tolist())))
-    return summary
+    return _write(fh, reports, ["", *","*7], "\r\n", _texts(_csv_field),
+                  _texts(lambda v: _csv_field(json.dumps(v))), listed, _texts(str),
+                  lambda v: list(map(float.__repr__, v.tolist())))
 
 
 def write_csv(path, reports) -> dict:

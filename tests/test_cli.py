@@ -273,6 +273,19 @@ EXIT_CODES = {
     # loaded as symmetric and as asymmetric, where only a JSON boolean is allowed
     "symmetric-flag-string": ({**_two_vertex_graph(), "weights_symmetric": "false"}, [], 2, 2),
     "symmetric-flag-null": ({**_two_vertex_graph(), "weights_symmetric": None}, [], 2, 2),
+    # an integer id was read as a vertex index: the edge 2-0 below loaded as 2-1
+    "integer-vertex-ids": ({"weights_symmetric": True, "measure_mode": "unit",
+                            "vertices": [{"id": 2}, {"id": 0}, {"id": 1}],
+                            "edges": [{"u": 2, "v": 0, "w": 1.0}]}, [], 2, 2),
+    # numbers given as strings or booleans loaded as 2.5 and 1.0
+    "string-weight": (_two_vertex_graph(w="2.5"), [], 2, 2),
+    "boolean-weight": (_two_vertex_graph(w=True), [], 2, 2),
+    "string-measure": (_two_vertex_graph(
+        vertices=({"id": "a", "mu": "2.5"}, {"id": "b", "mu": 1.0}),
+        measure_mode="explicit"), [], 2, 2),
+    "boolean-measure": (_two_vertex_graph(
+        vertices=({"id": "a", "mu": True}, {"id": "b", "mu": 1.0}),
+        measure_mode="explicit"), [], 2, 2),
 }
 
 
@@ -365,13 +378,15 @@ def test_kernel_seed_range_ends_below_2_to_the_128(tmp_path):
 
 @pytest.mark.parametrize("command", ["verify", "kernel"])
 def test_graph_file_that_is_not_json_exits_2(tmp_path, capsys, command):
-    graph = tmp_path / "g.json"
-    graph.write_text("{not json\n")
-    out = tmp_path / "out"
-    assert run([command, "--graph", graph, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
-    assert not out.exists()
+    # the nested arrays ended in a RecursionError traceback and exit 1
+    for text in ("{not json\n", "[" * 200_000 + "]" * 200_000):
+        graph = tmp_path / "g.json"
+        graph.write_text(text)
+        out = tmp_path / "out"
+        assert run([command, "--graph", graph, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

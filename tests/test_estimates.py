@@ -191,7 +191,7 @@ def _batch_cases():
     for n_min, n_max in ((4, 12), (31, 40)):  # all pairs, then sampled pairs
         for _ in range(3):
             g = random_graph(rng, n_min=n_min, n_max=n_max, p=0.3)
-            yield g, log_uniform(rng, g.n * 4).reshape(g.n, 4), rng
+            yield g, log_uniform(rng, g.n * 4).reshape(g.n, 4)
 
 
 def _rows_agree(batch, single):
@@ -210,7 +210,7 @@ def _rows_agree(batch, single):
 
 
 def test_batch_equals_its_columns():
-    for g, U, rng in _batch_cases():
+    for g, U in _batch_cases():
         cols = list(U.T)
         for verify in (gradient_estimate, prior_gradient_estimate):
             batch, single = verify(g, U), concat(verify(g, u) for u in cols)
@@ -221,16 +221,13 @@ def test_batch_equals_its_columns():
         times = [0.0, 1e-7, 0.1, 1.0]
         _rows_agree(heat_gradient_estimate(g, U, times),
                     concat(heat_gradient_estimate(g, u, times) for u in cols))
-        ids = g.ids
-        pairs = [(ids[int(i)], ids[int(j)])
-                 for i, j in rng.integers(g.n, size=(50, 2))]
-        _rows_agree(verify_harnack(g, U, [0.2, 1.0, 3.0], pairs=pairs),
-                    concat(verify_harnack(g, u, [0.2, 1.0, 3.0], pairs=pairs)
-                           for u in cols))
+        if g.n <= 30:  # all ordered pairs for every function
+            _rows_agree(verify_harnack(g, U, [0.2, 1.0, 3.0]),
+                        concat(verify_harnack(g, u, [0.2, 1.0, 3.0]) for u in cols))
 
 
 def test_batch_harnack_first_column_samples_like_a_single_call():
-    for g, U, _ in _batch_cases():
+    for g, U in _batch_cases():
         if g.n <= 30:
             continue
         batch = verify_harnack(g, U, [0.5, 1.0, 2.0], seed=11)
@@ -441,12 +438,11 @@ def test_verifier_sites_and_values_follow_the_per_site_loop():
         rel=1e-15)
 
 
-def test_verify_harnack_keeps_given_pair_order_and_drops_unreachable():
+def test_verify_harnack_drops_unreachable_pairs():
     g = _two_components()
     u0 = [1.0, 5.0, 0.5, 2.0, 3.0]
-    pairs = [("c", "a"), ("a", "d"), ("e", "d"), ("b", "b"), ("d", "c")]
-    reps = verify_harnack(g, u0, [1.0, 0.2], pairs=pairs)
-    kept = [("c", "a"), ("e", "d"), ("b", "b")]
+    reps = verify_harnack(g, u0, [1.0, 0.2])
+    kept = [(x, y) for x in g.ids for y in g.ids if (x in "abc") == (y in "abc")]
     assert reps.site.tolist() == [[x, 0.2, y, 1.0] for x, y in kept]
     u1, u2 = evolve(g, u0, 0.2, tol=1e-12), evolve(g, u0, 1.0, tol=1e-12)
     assert reps.lhs.tolist() == [u1[g.index[x]] for x, y in kept]

@@ -30,17 +30,17 @@ def test_degree_unknown_vertex():
 
 def test_constants_k2_unit():
     c = k2().constants()
-    assert (c.d_mu, c.mu_max, c.w_min, c.d, c.d_w) == (1, 1, 1, 1, 1)
+    assert (c.d_mu, c.mu_max, c.w_min, c.d) == (1, 1, 1, 1)
 
 
 def test_constants_path3():
     c = path3().constants()
-    assert (c.d_mu, c.mu_max, c.w_min, c.d, c.d_w) == (2, 1, 1, 1, 2)
+    assert (c.d_mu, c.mu_max, c.w_min, c.d) == (2, 1, 1, 1)
 
 
 def test_constants_k2_uneven_measure():
     c = k2(mu=(2.0, 1.0)).constants()
-    assert (c.d_mu, c.mu_max, c.w_min, c.d, c.d_w) == (1, 2, 1, 2, 1)
+    assert (c.d_mu, c.mu_max, c.w_min, c.d) == (1, 2, 1, 2)
 
 
 def test_constants_edgeless_graph_rejected():
@@ -54,7 +54,7 @@ def test_constants_invariant_random():
     for _ in range(25):
         c = random_graph(rng).constants()
         assert c.d <= c.mu_max / c.w_min * (1 + 1e-15)
-        assert min(c.d_mu, c.mu_max, c.w_min, c.d, c.d_w) > 0
+        assert min(c.d_mu, c.mu_max, c.w_min, c.d) > 0
 
 
 def test_degree_measure_forces_d_mu_one():
