@@ -17,7 +17,7 @@ source = "v5"  # an interior vertex
 t = 2.0
 n_walks = 100_000
 
-exact = heat_kernel(g, t, tol=1e-12).matrix[g._resolve(source)]
+exact = heat_kernel(g, t, tol=1e-12).matrix[g.index[source]]
 
 start = time.monotonic()
 est = simulate(g, source, t, n_walks, seed=1)

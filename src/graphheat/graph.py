@@ -1,7 +1,7 @@
 """Finite weighted graphs with a positive vertex measure.
 
 Provides the graph container with its edge record, the derived sup/inf
-constants, hop-count distances and metric balls, standard graph generators,
+constants, hop-count distances and ball volumes, standard graph generators,
 and the JSON file format used by the command-line tools.
 """
 
@@ -48,10 +48,12 @@ class WeightedGraph:
     """A finite graph with positive edge weights and a positive vertex measure.
 
     Vertices are opaque string ids, in the read-only object array ids, mapped
-    to contiguous integer indices in insertion order. The edge record edges =
-    (rows, cols, w, ptr) lists each adjacent pair (i, j) and w_ij row-major,
-    row i at ptr[i]:ptr[i + 1]. The graph is immutable: the record and what is
-    derived from it (degrees, constants, hops) are built once, read-only.
+    by the dict index to contiguous integer indices in insertion order. A
+    method that takes a vertex takes its id, as str(key) like the ids.
+    The edge record edges = (rows, cols, w, ptr) lists each adjacent pair
+    (i, j) and w_ij row-major, row i at ptr[i]:ptr[i + 1]. The graph is
+    immutable: the record and what is derived from it (degrees, the rates
+    deg(x)/mu(x), constants, hops) are built once, read-only.
     """
 
     def __init__(self, vertex_ids, edges, mu=None, weights_symmetric=True,
@@ -66,8 +68,8 @@ class WeightedGraph:
             If weights_symmetric, each undirected edge is listed once and
             expanded; otherwise each entry sets the weight in direction u->v.
         mu : array-like, dict, or None
-            Vertex measure. Required for measure_mode="explicit"; ignored
-            otherwise ("unit" sets mu=1, "degree" sets mu=deg).
+            Vertex measure (a dict keyed by exactly the ids). Required for
+            measure_mode="explicit"; ignored otherwise (unit: 1, degree: deg).
         """
         self.ids = np.array([str(v) for v in vertex_ids], dtype=object)
         self.ids.setflags(write=False)
@@ -101,8 +103,6 @@ class WeightedGraph:
         with np.errstate(over="ignore"):  # an infinite degree is rejected below
             self.degrees = np.zeros(n)
             np.add.at(self.degrees, rows, w)
-        for a in (*self.edges, self.degrees):
-            a.setflags(write=False)
 
         if measure_mode == "unit":
             mu_arr = np.ones(n)
@@ -117,26 +117,27 @@ class WeightedGraph:
                 missing = [v for v in self.ids if v not in mu]
                 if missing:
                     raise GraphFormatError(f"mu missing for vertices {missing}")
+                extra = [k for k in mu if k not in self.index]
+                if extra:
+                    raise GraphFormatError(f"mu has unknown vertices {extra}")
                 mu_arr = np.array([float(mu[v]) for v in self.ids])
             else:
-                mu_arr = np.asarray(mu, dtype=float)
+                mu_arr = np.array(mu, dtype=float)  # a copy: the caller's array stays writable
                 if mu_arr.shape != (n,):
                     raise GraphFormatError("mu must have one value per vertex")
         if not np.all((0 < mu_arr) & (mu_arr < np.inf)):
             raise GraphFormatError("vertex measure must be positive and finite")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(self.degrees / mu_arr)):
-                raise GraphFormatError("a rate deg(x)/mu(x) overflows to inf")
         self.mu = mu_arr
-        self.mu.setflags(write=False)
+        with np.errstate(over="ignore"):  # max is D_mu and the series' lam; the walk's rates
+            self.rates = self.degrees / mu_arr
+        if not np.all(np.isfinite(self.rates)):
+            raise GraphFormatError("a rate deg(x)/mu(x) overflows to inf")
+        for a in (*self.edges, self.degrees, self.mu, self.rates):
+            a.setflags(write=False)
 
     # -- basic queries ----------------------------------------------------
 
     def _resolve(self, x) -> int:
-        if isinstance(x, (int, np.integer)):
-            if not 0 <= x < self.n:
-                raise GraphFormatError(f"vertex index {x} out of range")
-            return int(x)
         try:
             return self.index[str(x)]
         except KeyError:
@@ -161,7 +162,7 @@ class WeightedGraph:
         if not rows.size:
             raise GraphFormatError("constants undefined on an edgeless graph")
         return GraphConstants(
-            d_mu=float(np.max(self.degrees / self.mu)),
+            d_mu=float(np.max(self.rates)),
             mu_max=float(np.max(self.mu)),
             w_min=float(np.min(w)),
             d=float(np.max(self.mu[rows] / w)),
@@ -196,19 +197,17 @@ class WeightedGraph:
         return D
 
     @cached_property
-    def _jumps(self) -> tuple:
-        # the walk's rates deg/mu; per record pair (i, j), j and a key 2i + the jump
-        # probability summed from 0 in row i (bit for bit the dense row's cumsum), exactly
-        # 2i + 1 at a row's end: 2i + u (0 <= u < 1) finds row i, (2i - 1, 2i) absorbs rounding
-        rates = self.degrees / self.mu
-        rows, cols, w, ptr = self.edges
+    def _jumps(self) -> np.ndarray:
+        # the walk's jump key of each record pair (i, j): 2i + the jump probability summed
+        # from 0 in row i (bit for bit the dense row's cumsum), exactly 2i + 1 at a row's
+        # end: 2i + u (0 <= u < 1) finds row i, (2i - 1, 2i) absorbs rounding
+        rows, _, w, ptr = self.edges
         cum = np.concatenate([np.cumsum(r) for r in np.split(w, ptr[1:-1])])
         keys = 2 * rows + cum / self.degrees[rows]
         last = np.diff(rows, append=self.n) > 0
         keys[last] = 2 * rows[last] + 1.0
-        for a in (rates, cols, keys):
-            a.setflags(write=False)
-        return rates, cols, keys
+        keys.setflags(write=False)
+        return keys
 
     def dist(self, x, y) -> int:
         """Hop-count distance (minimum number of edges on a path x -> y)."""
@@ -221,15 +220,11 @@ class WeightedGraph:
         """All-pairs hop distances, read-only; unreachable pairs are +inf."""
         return self._hops
 
-    def ball(self, x, r: float) -> np.ndarray:
-        """Indices of the closed ball {z : dist(x, z) <= r}."""
+    def ball_volume(self, x, r: float) -> float:
+        """mu-measure of the closed hop-distance ball {z : dist(x, z) <= r}."""
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r!r}")
-        return np.nonzero(self._hops[self._resolve(x)] <= r)[0]
-
-    def ball_volume(self, x, r: float) -> float:
-        """mu-measure of the closed hop-distance ball around x."""
-        return float(self.mu[self.ball(x, r)].sum())
+        return float(self.mu[self._hops[self._resolve(x)] <= r].sum())
 
 
 # -- vertex functions ------------------------------------------------------

@@ -59,7 +59,7 @@ def generator(g: WeightedGraph) -> np.ndarray:
     rows, cols, w, _ = g.edges
     L = np.zeros((g.n, g.n))
     L[rows, cols] = w / g.mu[rows]
-    np.fill_diagonal(L, L.diagonal() - g.degrees / g.mu)
+    np.fill_diagonal(L, L.diagonal() - g.rates)
     return L
 
 
@@ -91,7 +91,7 @@ def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarr
     t = check_time(t)
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    lam = float((g.degrees / g.mu).max(initial=0.0))
+    lam = float(g.rates.max(initial=0.0))
     lt = lam * t
     if lt == 0:  # t = 0, no edges, or lam * t underflowing: exp(tL) = I
         return operand.astype(float).copy()

@@ -69,7 +69,7 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
     if n_walks < 1:
         raise ValueError("need at least one walk")
     src = g._resolve(x)
-    rates, cols, keys = g._jumps
+    rates, cols, keys = g.rates, g.edges[1], g._jumps
     rng = np.random.Generator(np.random.Philox(key=seed))
     pos = np.full(n_walks, src)
     clock = np.zeros(n_walks)

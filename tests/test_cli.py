@@ -146,7 +146,7 @@ def test_verify_csv_format(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["verify", "--graph", graph, "--suite", "gradient",
                 "--n-funcs", "2", "--format", "csv", "--out", out]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0][:4] == ["check", "site", "lhs", "rhs"]
 
 
@@ -156,7 +156,7 @@ def test_kernel_k2_closed_form(tmp_path):
     out = tmp_path / "k.csv"
     assert run(["kernel", "--graph", graph, "--t", "1", "--out", out]) == 0
     rows = {(r["x"], r["y"]): float(r["p"])
-            for r in csv.DictReader(out.open())}
+            for r in csv.DictReader(out.read_text().splitlines())}
     assert rows[("v0", "v1")] == pytest.approx((1 - math.exp(-2)) / 2,
                                                abs=1e-10)
 
@@ -168,7 +168,7 @@ def test_kernel_time_zero(tmp_path):
     out = tmp_path / "k.csv"
     assert run(["kernel", "--graph", graph, "--t", "0", "--out", out]) == 0
     rows = {(r["x"], r["y"]): float(r["p"])
-            for r in csv.DictReader(out.open())}
+            for r in csv.DictReader(out.read_text().splitlines())}
     assert rows[("v0", "v0")] == 1.0
     assert rows[("v0", "v1")] == 0.0
 
@@ -180,7 +180,7 @@ def test_kernel_with_monte_carlo(tmp_path):
     code = run(["kernel", "--graph", graph, "--t", "1", "--mc", "20000",
                 "--seed", "9", "--out", out])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert {"p_hat", "half_width", "n_walks", "seed"} <= set(rows[0])
 
 
@@ -193,7 +193,7 @@ def test_kernel_monte_carlo_verdict_is_family_wise(tmp_path, capsys):
                 "--seed", "947", "--out", out])
     g = load_graph(graph)
     kernel = heat_kernel(g, 1.0)
-    sub_seeds = {r["x"]: int(r["seed"]) for r in csv.DictReader(out.open())}
+    sub_seeds = {r["x"]: int(r["seed"]) for r in csv.DictReader(out.read_text().splitlines())}
     flagged = sum(
         np.count_nonzero(~simulate(g, x, 1.0, 1000, seed=sub_seeds[x])
                          .consistent_with(kernel.matrix[i], n_sigma=3))

@@ -501,7 +501,6 @@ REJECTED = {
         g, np.ones((10, 2)), [1.0]),
     "harnack-batch-wrong-rows": lambda g: verify_harnack(g, np.ones((8, 2)),
                                                          [0.1, 1.0]),
-    "ball-nan-radius": lambda g: g.ball("v0", math.nan),
     "ball-volume-nan-radius": lambda g: g.ball_volume("v0", math.nan),
     "compose-two-graphs": lambda g: compose(heat_kernel(g, 1.0),
                                             heat_kernel(_grid3(), 1.0)),

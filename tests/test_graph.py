@@ -164,8 +164,9 @@ def test_construction_invariants():
         (["a", "b"], [("a", "b", 1.0)], dict(measure_mode="lazy"), "unknown measure_mode"),
         (["a", "b"], [("a", "b", 1.0)], dict(), "requires mu"),
         (["a", "b"], [("a", "b", 1.0)], dict(mu={"a": 1.0}), "mu missing"),
+        (["a", "b"], [("a", "b", 1.0)], dict(mu={"a": 1, "b": 2, "c": 5}), "unknown vertices"),
         (["a", "b"], [("a", "b", 1.0)], dict(mu=[1.0, 1.0, 1.0]), "one value per vertex"),
-        (["a", "b"], [(0, 2, 1.0)], dict(measure_mode="unit"), "out of range"),
+        (["a", "b"], [(0, 2, 1.0)], dict(measure_mode="unit"), "unknown vertex id"),
     ]:
         with pytest.raises(GraphFormatError, match=match):
             WeightedGraph(ids, edges, **kwargs)
@@ -181,6 +182,23 @@ def test_non_finite_input_rejected(edges, mu):
     with pytest.raises(GraphFormatError):
         WeightedGraph(["a", "b"], edges, mu=mu,
                       measure_mode="unit" if mu is None else "explicit")
+
+
+def test_non_string_keys_name_vertices_by_id():
+    # str(key) names a vertex, as the constructor applies str() to ids: edge (2, 0)
+    # joins ids '2' and '0', not the vertex at index 0
+    g = WeightedGraph([2, 0, 1], [(2, 0, 1.0)], measure_mode="unit")
+    assert g.degree("0") == 1.0 == g.degree(0)
+    assert g.degree("1") == 0.0 == g.degree(1)
+    assert g.dist(2, "0") == 1
+
+
+def test_measure_array_is_copied():
+    # the caller's array stays writable, and writing to it leaves mu and the rates alone
+    mu = np.array([1.0, 2.0])
+    g = WeightedGraph(["a", "b"], [("a", "b", 1.0)], mu=mu)
+    mu[0] = 4.0
+    assert g.mu.tolist() == [1.0, 2.0] and g.rates.tolist() == [1.0, 0.5]
 
 
 def test_asymmetric_weights_allowed():

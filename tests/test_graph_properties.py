@@ -47,11 +47,11 @@ def test_hop_distances(g):
         for y in range(g.n):
             if np.isinf(D[x, y]):
                 with pytest.raises(UnreachableError):
-                    g.dist(x, y)
+                    g.dist(g.ids[x], g.ids[y])
             else:
-                assert g.dist(x, y) == D[x, y]
+                assert g.dist(g.ids[x], g.ids[y]) == D[x, y]
         for r in (0, 0.5, 1, 2.5, g.n):
-            assert g.ball_volume(x, r) == g.mu[D[x] <= r].sum()
+            assert g.ball_volume(g.ids[x], r) == g.mu[D[x] <= r].sum()
 
 
 def _unit_graph(n, arcs, symmetric):
@@ -111,9 +111,10 @@ def test_derived_data_is_read_only(g):
     with pytest.raises(ValueError):
         g.distance_matrix()[0, 0] = 1.0
     rows, cols, w, ptr = g.edges
-    for a in (*g.edges, g.degrees, g.mu):
+    for a in (*g.edges, g.degrees, g.mu, g.rates):
         with pytest.raises(ValueError):
             a[:1] = 0
+    assert g.rates.tobytes() == (g.degrees / g.mu).tobytes()
     assert np.all(np.diff(rows * g.n + cols) > 0)  # row-major, no repeats
     assert np.array_equal(ptr, np.searchsorted(rows, np.arange(g.n + 1)))
     assert np.all(w > 0)

@@ -250,7 +250,8 @@ def test_csv_header_is_json_key_order(tmp_path):
     reports = _sample()
     path = tmp_path / "r.csv"
     assert write_csv(path, reports) == summarize(reports)
-    rows = list(csv.reader(path.open(newline="")))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert tuple(rows[0]) == FIELDS
     assert rows[1:] == [
         ["a", '["x", 0.5]', "0.25", "1.0", "0.75", "True", "1e-10", "1e-09"],

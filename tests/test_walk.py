@@ -89,7 +89,7 @@ def test_jump_keys_are_row_cumsums_of_the_dense_weights():
     rng = np.random.default_rng(12)
     for _ in range(10):
         g = random_graph(rng, n_max=40, p=0.5, w_lo=0.1, w_hi=3.0)
-        _, cols, keys = g._jumps
+        cols, keys = g.edges[1], g._jumps
         W = dense_weights(g)
         rows, ref_cols = np.nonzero(W)
         ref = 2 * rows + np.cumsum(W, axis=1)[rows, ref_cols] / g.degrees[rows]

@@ -12,8 +12,10 @@ The inputs come from HEAD_TREE: its example graphs, and the seed-0
 ``verify-grid``, ``verify-stiff`` and ``kernel-mc`` graphs that
 ``perfbench/run.py``'s ``make_graph`` builds. On each graph but the
 ``kernel-mc`` one, ``verify --suite all`` runs with JSONL and with CSV
-output; on the ``kernel-mc`` graph, ``kernel --t 1 --mc 300`` runs. Exits 1
-if any output differs, else 0.
+output; on the example graphs and the ``verify-stiff`` graph (where lam t
+reaches 2e4, on the scaling-and-squaring route), ``kernel --t 0.1,1,10``
+dumps the series kernel; on the ``kernel-mc`` graph, ``kernel --t 1 --mc
+300`` runs. Exits 1 if any output differs, else 0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 BENCH_GRAPHS = ("verify-grid", "verify-stiff", "kernel-mc")
+KERNEL_TIMES = "0.1,1,10"
 
 
 def write_graphs(head: Path, work: Path) -> list:
@@ -59,6 +62,9 @@ def commands(graphs: list) -> list:
             out.append((f"`verify --suite all --format {fmt}` on {graph}",
                         ["verify", "--graph", graph, "--suite", "all", "--format", fmt],
                         suffix))
+        if not graph.endswith("verify-grid.json"):
+            out.append((f"`kernel --t {KERNEL_TIMES}` on {graph}",
+                        ["kernel", "--graph", graph, "--t", KERNEL_TIMES], "csv"))
     return out
 
 
