@@ -14,11 +14,12 @@ counterexample.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
 from .calculus import gamma, laplacian, require_positive
-from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate
+from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate, uniforms
 from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, concat, site_reports
 from .semigroup import check_time, evolve, heat_kernel
 
@@ -168,10 +169,10 @@ def prior_gradient_estimate(g: WeightedGraph, u):
                         lhs, rhs, extras=extras)
 
 
-def sample_positive_function(g: WeightedGraph, rng) -> np.ndarray:
-    """Log-uniform positive function on [1e-6, 1e6], stressing sites where
-    sqrt(u) differences are extreme."""
-    return np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=g.n))
+def sample_positive_function(g: WeightedGraph, rng: random.Random) -> np.ndarray:
+    """Log-uniform positive function on [1e-6, 1e6), stressing sites where
+    sqrt(u) differences are extreme; draws g.n uniforms from rng."""
+    return np.exp((2.0 * uniforms(rng, g.n) - 1.0) * math.log(1e6))
 
 
 def independence_sweep(n_sites=10_000, seed=0):
@@ -181,17 +182,17 @@ def independence_sweep(n_sites=10_000, seed=0):
     each, drawn from random graphs of 4 to 12 vertices with unit, degree,
     and log-uniform explicit measures.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     tally = {"current": 0, "prior": 0}
     witnesses = {}
     sites = 0
     draw = 0
     while sites < n_sites:
         draw += 1
-        n = int(rng.integers(4, 13))
-        gseed = int(rng.integers(2**32))
+        n = rng.randrange(4, 13)
+        gseed = rng.getrandbits(32)
         mode = ("unit", "degree", "explicit")[draw % 3]
-        mu = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=n)) \
+        mu = np.exp((2.0 * uniforms(rng, n) - 1.0) * math.log(1e2)) \
             if mode == "explicit" else None
         try:
             g = generate("random", n=n, p=0.5, w_lo=0.5, w_hi=2.0,
@@ -239,9 +240,9 @@ def verify_harnack(g: WeightedGraph, u0, time_grid, seed=0):
     """Check u(x, t1) <= u(y, t2) * harnack_factor over sampled sites.
 
     The pairs are all ordered vertex pairs when the graph has at most 30
-    vertices. Otherwise each function in turn draws HARNACK_MAX_PAIRS uniform
-    pairs from one default_rng(seed), so the first function of a batch gets
-    the pairs a call with it alone gets. Unreachable pairs are dropped.
+    vertices. Otherwise each function in turn draws HARNACK_MAX_PAIRS pairs,
+    each end floor(u n), from one random.Random(seed), so the first function
+    of a batch gets the pairs a call with it alone gets. Unreachable pairs are dropped.
     """
     return concat(_harnack_blocks(g, u0, time_grid, seed))
 
@@ -259,9 +260,10 @@ def _harnack_blocks(g, u0, time_grid, seed=0):
     m = len(_columns(u0))
     if g.n <= 30:
         picks = [np.divmod(np.arange(g.n * g.n), g.n)] * m
-    else:  # (function, pair, end) in draw order
-        picks = np.random.default_rng(seed).integers(
-            g.n, size=(m, HARNACK_MAX_PAIRS, 2)).transpose(0, 2, 1)
+    else:  # (pair, end) in draw order, a function at a time
+        rng = random.Random(seed)
+        picks = [(uniforms(rng, 2 * HARNACK_MAX_PAIRS) * g.n).astype(np.intp).reshape(-1, 2).T
+                 for _ in range(m)]
     reachable = [np.isfinite(D[I, J]) for I, J in picks]
     picks = [(I[f], J[f]) for (I, J), f in zip(picks, reachable)]
     gaps = [(t1, t2) for a, t1 in enumerate(times) for t2 in times[a + 1:]]

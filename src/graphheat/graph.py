@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +69,7 @@ class WeightedGraph:
             If weights_symmetric, each undirected edge is listed once and
             expanded; otherwise each entry sets the weight in direction u->v.
         mu : array-like, dict, or None
-            Vertex measure (a dict keyed by exactly the ids). Required for
+            Vertex measure (a dict with one key per vertex, str(key) its id). Required for
             measure_mode="explicit"; ignored otherwise (unit: 1, degree: deg).
         """
         self.ids = np.array([str(v) for v in vertex_ids], dtype=object)
@@ -114,13 +115,7 @@ class WeightedGraph:
             if mu is None:
                 raise GraphFormatError("explicit measure_mode requires mu")
             if isinstance(mu, dict):
-                missing = [v for v in self.ids if v not in mu]
-                if missing:
-                    raise GraphFormatError(f"mu missing for vertices {missing}")
-                extra = [k for k in mu if k not in self.index]
-                if extra:
-                    raise GraphFormatError(f"mu has unknown vertices {extra}")
-                mu_arr = np.array([float(mu[v]) for v in self.ids])
+                mu_arr = _by_id(self, mu, "mu")
             else:
                 mu_arr = np.array(mu, dtype=float)  # a copy: the caller's array stays writable
                 if mu_arr.shape != (n,):
@@ -229,16 +224,22 @@ class WeightedGraph:
 
 # -- vertex functions ------------------------------------------------------
 
+def _by_id(g: WeightedGraph, values: dict, what: str) -> np.ndarray:
+    """The (n,) array of values, a dict with one key per vertex, str(key) its id."""
+    by_id = {str(k): v for k, v in values.items()}
+    if missing := [v for v in g.ids if v not in by_id]:
+        raise GraphFormatError(f"{what} missing values for vertices {missing}")
+    if extra := [k for k in values if str(k) not in g.index]:
+        raise GraphFormatError(f"{what} has unknown vertices {extra}")
+    if len(by_id) != len(values):
+        raise GraphFormatError(f"{what} has two keys for one vertex")
+    return np.array([float(by_id[v]) for v in g.ids])
+
+
 def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
     """Coerce f (array-like or id->value dict) to an (n,) array, or an (n, m) batch."""
     if isinstance(f, dict):
-        missing = [v for v in g.ids if v not in f]
-        if missing:
-            raise GraphFormatError(f"function missing values for {missing}")
-        if len(f) != g.n:
-            extra = [k for k in f if k not in g.index]
-            raise GraphFormatError(f"function has unknown vertices {extra}")
-        return np.array([float(f[v]) for v in g.ids])
+        return _by_id(g, f, "function")
     arr = np.asarray(f, dtype=float)
     if arr.ndim not in (1, 2) or len(arr) != g.n:
         raise GraphFormatError(
@@ -317,6 +318,12 @@ def save_graph(path, g: WeightedGraph) -> None:
 
 # -- generators ---------------------------------------------------------------
 
+def uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """The next 64 k bits of rng as k doubles on the 53-bit grid in [0, 1)."""
+    bits = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+    return (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0**-53
+
+
 def _grid_edges(rows: int, cols: int):
     def vid(r, c):
         return f"v{r * cols + c}"
@@ -366,12 +373,11 @@ def generate(family: str, *, n=None, rows=None, cols=None, p=None,
                 raise ValueError("random family requires edge probability p in (0,1]")
             if not 0 < w_lo <= w_hi:
                 raise ValueError("weight range must satisfy 0 < w_lo <= w_hi")
-            rng = np.random.default_rng(seed)
+            rng = random.Random(seed)
             edges = []
             for i in range(n):
                 for j in range(i + 1, n):
                     if rng.random() < p:
-                        edges.append((f"v{i}", f"v{j}",
-                                      float(rng.uniform(w_lo, w_hi))))
+                        edges.append((f"v{i}", f"v{j}", rng.uniform(w_lo, w_hi)))
     return WeightedGraph(ids, edges, mu=mu, weights_symmetric=True,
                          measure_mode=measure_mode)

@@ -9,11 +9,12 @@ series and spectral kernels on graphs of any size.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, uniforms
 from .semigroup import check_time
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -58,9 +59,9 @@ class WalkEstimate:
 def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> WalkEstimate:
     """Run n_walks independent walks from x up to time t.
 
-    All walks advance together and draw from one counter-based stream
-    (Philox keyed by seed): each step draws a holding time for every live
-    walk, then a jump uniform for every walk still short of t, in walk order.
+    All walks advance together and draw from one stream, random.Random(seed):
+    each step draws a holding time for every live walk, by inversion of a
+    uniform, then a jump uniform for every walk still short of t, in walk order.
     The counts are a pure function of (graph, source, t, n_walks, seed); a
     walk's path depends on n_walks, so the first k walks of a larger run are
     not a run of k walks.
@@ -70,15 +71,14 @@ def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> Walk
         raise ValueError("need at least one walk")
     src = g._resolve(x)
     rates, cols, keys = g.rates, g.edges[1], g._jumps
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = random.Random(seed)
     pos = np.full(n_walks, src)
     clock = np.zeros(n_walks)
     live = np.arange(n_walks if rates[src] > 0.0 else 0)
     while live.size:
-        clock[live] += rng.standard_exponential(live.size) / rates[pos[live]]
+        clock[live] -= np.log1p(-uniforms(rng, live.size)) / rates[pos[live]]
         live = live[clock[live] < t]
-        u = rng.random(live.size)
-        pos[live] = cols[np.searchsorted(keys, 2 * pos[live] + u)]
+        pos[live] = cols[np.searchsorted(keys, 2 * pos[live] + uniforms(rng, live.size))]
         live = live[rates[pos[live]] > 0.0]  # a vertex without out-edges absorbs
     counts = np.bincount(pos, minlength=g.n)
     return WalkEstimate(t, g.ids[src], counts, int(n_walks), int(seed), g)

@@ -33,6 +33,11 @@ def test_laplacian_domain_mismatch():
         laplacian(path3(), {"a": 1.0, "b": 2.0})
     with pytest.raises(GraphFormatError, match="unknown vertices"):
         laplacian(path3(), {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
+    # str(key) names the vertex, as it does in the constructor
+    g = WeightedGraph([0, 1], [(0, 1, 1.0)], mu={0: 1.0, 1: 2.0})
+    assert np.array_equal(evolve(g, {1: 2.0, 0: 1.0}, 1.0), evolve(g, [1.0, 2.0], 1.0))
+    with pytest.raises(GraphFormatError, match="two keys for one vertex"):
+        laplacian(g, {0: 1.0, "0": 1.0, 1: 2.0})
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 2), (3, 2, 2)])

@@ -165,6 +165,7 @@ def test_construction_invariants():
         (["a", "b"], [("a", "b", 1.0)], dict(), "requires mu"),
         (["a", "b"], [("a", "b", 1.0)], dict(mu={"a": 1.0}), "mu missing"),
         (["a", "b"], [("a", "b", 1.0)], dict(mu={"a": 1, "b": 2, "c": 5}), "unknown vertices"),
+        ([0, 1], [(0, 1, 1.0)], dict(mu={0: 1.0, "0": 1.0, 1: 2.0}), "two keys for one vertex"),
         (["a", "b"], [("a", "b", 1.0)], dict(mu=[1.0, 1.0, 1.0]), "one value per vertex"),
         (["a", "b"], [(0, 2, 1.0)], dict(measure_mode="unit"), "unknown vertex id"),
     ]:
@@ -191,6 +192,9 @@ def test_non_string_keys_name_vertices_by_id():
     assert g.degree("0") == 1.0 == g.degree(0)
     assert g.degree("1") == 0.0 == g.degree(1)
     assert g.dist(2, "0") == 1
+    # and so do the keys of a mu dict
+    g = WeightedGraph([0, 1], [(0, 1, 1.0)], mu={0: 1.0, 1: 2.0})
+    assert g.mu.tolist() == [1.0, 2.0]
 
 
 def test_measure_array_is_copied():

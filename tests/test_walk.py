@@ -3,9 +3,10 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from conftest import dense_weights, k2, random_graph
-from graphheat import WeightedGraph, generate, heat_kernel, simulate
+from graphheat import WeightedGraph, dense_oracle, generate, heat_kernel, simulate
 from graphheat.cli import MC_ALPHA
 
 
@@ -81,6 +82,30 @@ def test_weighted_jumps_match_kernel():
     for i, x in enumerate(g.ids):
         est = simulate(g, x, 0.7, 2000, seed=i)
         assert np.all(est.consistent_with(K.matrix[i], n_sigma=z))
+
+
+def _pooled_chi2_pvalue(walk_graph, g, t, n_walks):
+    # Pearson chi-square of the walk counts on walk_graph from every source
+    # against g's oracle, summed over the sources; each source's cells that
+    # expect fewer than 5 walks share one bin
+    expected = n_walks * dense_oracle(g, t).matrix * g.mu
+    stat, dof = 0.0, 0
+    for i, x in enumerate(g.ids):
+        counts, e = simulate(walk_graph, x, t, n_walks, seed=i).counts, expected[i]
+        big = e >= 5
+        obs, exp = np.append(counts[big], counts[~big].sum()), np.append(e[big], e[~big].sum())
+        stat += float(np.sum((obs - exp) ** 2 / exp))
+        dof += len(exp) - 1
+    return float(chi2.sf(stat, dof))
+
+
+def test_walk_counts_pass_a_test_that_rejects_rates_10_percent_fast():
+    # 192k walks on the 8x8 grid: the right rates pass at alpha = 1e-3, and
+    # holding rates 1.1 times too high (mu = deg / 1.1) are rejected
+    g = generate("grid", rows=8, cols=8, measure_mode="degree")
+    fast = generate("grid", rows=8, cols=8, measure_mode="explicit", mu=g.degrees / 1.1)
+    assert _pooled_chi2_pvalue(g, g, 1.0, 3000) >= 1e-3
+    assert _pooled_chi2_pvalue(fast, g, 1.0, 3000) < 1e-3
 
 
 def test_jump_keys_are_row_cumsums_of_the_dense_weights():

@@ -15,7 +15,10 @@ The inputs come from HEAD_TREE: its example graphs, and the seed-0
 output; on the example graphs and the ``verify-stiff`` graph (where lam t
 reaches 2e4, on the scaling-and-squaring route), ``kernel --t 0.1,1,10``
 dumps the series kernel; on the ``kernel-mc`` graph, ``kernel --t 1 --mc
-300`` runs. Exits 1 if any output differs, else 0.
+300`` runs. Below the table, each JSONL report that differs gets the number
+of differing lines per check, compared line by line (the config and summary
+lines count under ``config`` and ``summary``). Exits 1 if any output
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 BENCH_GRAPHS = ("verify-grid", "verify-stiff", "kernel-mc")
@@ -79,6 +84,13 @@ def run(tree: Path, work: Path, argv: list, report: str) -> tuple:
     return body, proc.stdout, proc.stderr, proc.returncode
 
 
+def differing_rows(a: bytes, b: bytes) -> Counter:
+    """check -> the number of lines of two JSONL reports that differ."""
+    return Counter(obj.get("check", next(iter(obj)))
+                   for x, y in zip_longest(a.splitlines(), b.splitlines())
+                   if x != y for obj in [json.loads(x or y)])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
@@ -86,7 +98,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
     work = Path(tempfile.mkdtemp(prefix="compare-reports-"))
-    differ = 0
+    differ, moved = 0, []
     print("### Report bytes against the base commit")
     print("| command | report | stdout | stderr | exit code |")
     print("|---|---|---|---|---|")
@@ -97,6 +109,11 @@ def main(argv=None) -> int:
         cells[3] += f" ({a[3]}, {b[3]})" if a[3] != b[3] else f" ({a[3]})"
         differ += any(x != y for x, y in zip(a, b))
         print(f"| {label} | {' | '.join(cells)} |")
+        if suffix == "jsonl" and None not in (a[0], b[0]) and a[0] != b[0]:
+            moved.append((label, differing_rows(a[0], b[0])))
+    for label, rows in moved:
+        print(f"\nDiffering lines of {label}: "
+              + ", ".join(f"{check} {k}" for check, k in sorted(rows.items())))
     print(f"\n{differ} command(s) differ.")
     shutil.rmtree(work)
     return 1 if differ else 0
