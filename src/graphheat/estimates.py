@@ -169,10 +169,15 @@ def prior_gradient_estimate(g: WeightedGraph, u):
                         lhs, rhs, extras=extras)
 
 
+def _log_uniform(rng: random.Random, k: int, top: float) -> np.ndarray:
+    # k draws log-uniform on [1/top, top), from k uniforms of rng
+    return np.exp((2.0 * uniforms(rng, k) - 1.0) * math.log(top))
+
+
 def sample_positive_function(g: WeightedGraph, rng: random.Random) -> np.ndarray:
     """Log-uniform positive function on [1e-6, 1e6), stressing sites where
     sqrt(u) differences are extreme; draws g.n uniforms from rng."""
-    return np.exp((2.0 * uniforms(rng, g.n) - 1.0) * math.log(1e6))
+    return _log_uniform(rng, g.n, 1e6)
 
 
 def independence_sweep(n_sites=10_000, seed=0):
@@ -192,8 +197,7 @@ def independence_sweep(n_sites=10_000, seed=0):
         n = rng.randrange(4, 13)
         gseed = rng.getrandbits(32)
         mode = ("unit", "degree", "explicit")[draw % 3]
-        mu = np.exp((2.0 * uniforms(rng, n) - 1.0) * math.log(1e2)) \
-            if mode == "explicit" else None
+        mu = _log_uniform(rng, n, 1e2) if mode == "explicit" else None
         try:
             g = generate("random", n=n, p=0.5, w_lo=0.5, w_hi=2.0,
                          measure_mode=mode, mu=mu, seed=gseed)

@@ -204,6 +204,19 @@ class WeightedGraph:
         keys.setflags(write=False)
         return keys
 
+    @cached_property
+    def _guide(self) -> np.ndarray:
+        # row i's k records split the walk's uniforms u into k buckets floor(u k);
+        # entry ptr[i] + b is the first record whose jump key exceeds 2i + u for the
+        # least u of bucket b on the 2**-32 grid, so no u of bucket b jumps to an
+        # earlier record (exact for rows of under 2**21 records)
+        rows, _, _, ptr = self.edges
+        k = np.diff(ptr)[rows]
+        least = -(-((np.arange(rows.size) - ptr[rows]) << 32) // k) * 2.0**-32
+        guide = np.searchsorted(self._jumps, 2 * rows + least, side="right")
+        guide.setflags(write=False)
+        return guide
+
     def dist(self, x, y) -> int:
         """Hop-count distance (minimum number of edges on a path x -> y)."""
         d = self._hops[self._resolve(x), self._resolve(y)]
@@ -319,9 +332,9 @@ def save_graph(path, g: WeightedGraph) -> None:
 # -- generators ---------------------------------------------------------------
 
 def uniforms(rng: random.Random, k: int) -> np.ndarray:
-    """The next 64 k bits of rng as k doubles on the 53-bit grid in [0, 1)."""
-    bits = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-    return (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0**-53
+    """The next 32 k bits of rng as k doubles on the 2**-32 grid in [0, 1)."""
+    bits = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+    return np.frombuffer(bits, dtype="<u4") * 2.0**-32
 
 
 def _grid_edges(rows: int, cols: int):

@@ -59,26 +59,36 @@ class WalkEstimate:
 def simulate(g: WeightedGraph, x, t: float, n_walks: int, seed: int = 0) -> WalkEstimate:
     """Run n_walks independent walks from x up to time t.
 
-    All walks advance together and draw from one stream, random.Random(seed):
-    each step draws a holding time for every live walk, by inversion of a
-    uniform, then a jump uniform for every walk still short of t, in walk order.
-    The counts are a pure function of (graph, source, t, n_walks, seed); a
-    walk's path depends on n_walks, so the first k walks of a larger run are
-    not a run of k walks.
+    All walks advance together and draw from one stream, random.Random(seed),
+    32 bits per uniform: a holding uniform per walk, then at each step, for the
+    walks still short of t in walk order, their jump uniforms and next holding
+    uniforms. A holding time is -log(u)/rate (u = 0 holds forever); a jump from
+    i takes the first record of row i whose key exceeds 2i + u, searched from
+    its bucket's g._guide entry. The counts are a pure function of (graph,
+    source, t, n_walks, seed); a walk's path depends on n_walks, so the first k
+    walks of a larger run are not a run of k walks.
     """
     t = check_time(t)
     if n_walks < 1:
         raise ValueError("need at least one walk")
     src = g._resolve(x)
-    rates, cols, keys = g.rates, g.edges[1], g._jumps
-    rng = random.Random(seed)
-    pos = np.full(n_walks, src)
-    clock = np.zeros(n_walks)
-    live = np.arange(n_walks if rates[src] > 0.0 else 0)
-    while live.size:
-        clock[live] -= np.log1p(-uniforms(rng, live.size)) / rates[pos[live]]
-        live = live[clock[live] < t]
-        pos[live] = cols[np.searchsorted(keys, 2 * pos[live] + uniforms(rng, live.size))]
-        live = live[rates[pos[live]] > 0.0]  # a vertex without out-edges absorbs
-    counts = np.bincount(pos, minlength=g.n)
+    rates, (_, cols, _, ptr), keys, guide = g.rates, g.edges, g._jumps, g._guide
+    width, rng = ptr[1:] - ptr[:-1], random.Random(seed)
+    pos, clock = np.full(n_walks, src), np.zeros(n_walks)  # the live walks, in walk order
+    visits, jumps = [], []  # where each step starts, and which of those walks jump
+    hold = uniforms(rng, n_walks)
+    with np.errstate(divide="ignore"):  # log(0), and rate 0 at a vertex without out-edges
+        while pos.size:
+            clock -= np.log(hold) / rates[pos]  # an infinite holding time ends the walk
+            go = (clock < t).nonzero()[0]
+            visits.append(pos)
+            pos, clock = pos[go], clock[go]
+            jumps.append(pos)
+            jump, hold = uniforms(rng, 2 * pos.size).reshape(2, -1)
+            j, q = guide[ptr[pos] + (jump * width[pos]).astype(np.intp)], 2 * pos + jump
+            late = (keys[j] <= q).nonzero()[0]  # past the bucket's first record
+            j[late] = np.searchsorted(keys, q[late], side="right")
+            pos = cols[j]
+    counts = np.bincount(np.concatenate(visits), minlength=g.n) \
+        - np.bincount(np.concatenate(jumps), minlength=g.n)
     return WalkEstimate(t, g.ids[src], counts, int(n_walks), int(seed), g)

@@ -189,7 +189,7 @@ def test_kernel_monte_carlo_verdict_is_family_wise(tmp_path, capsys):
     # at the seed found here some of the 81 cells fall outside their per-cell
     # 3-sigma allowance while the series kernel is exact: a false alarm that a
     # verdict without multiple-comparison control reports as INCONSISTENT.
-    # About one seed in 500 flags a cell, so the search is bounded well above
+    # About one seed in 800 flags a cell, so the search is bounded well above
     graph, out = ROOT / "example_graphs" / "grid3x3.json", tmp_path / "k.csv"
     g = load_graph(graph)
     kernel = heat_kernel(g, 1.0)

@@ -123,6 +123,27 @@ def test_jump_keys_are_row_cumsums_of_the_dense_weights():
         assert np.array_equal(cols, ref_cols) and np.array_equal(keys, ref)
 
 
+def test_jump_guide_never_starts_past_the_record():
+    # a jump from row i with a uniform u on the 2**-32 grid takes the first record
+    # whose key exceeds 2i + u; the guide entry of u's bucket floor(u k) must not
+    # lie past it, is it at the bucket's least u, and is it always for equal weights
+    rng = np.random.default_rng(13)
+    graphs = [random_graph(rng, n_max=40, p=0.5, w_lo=1e-3, w_hi=3.0) for _ in range(10)]
+    for g in [*graphs, generate("grid", rows=5, cols=7)]:
+        rows, _, _, ptr = g.edges
+        b = np.arange(rows.size) - ptr[rows]
+        k = np.diff(ptr)[rows]
+        least = -(-(b << 32) // k)
+        i = np.concatenate([rows, rows, rows[rng.integers(rows.size, size=20_000)]])
+        m = np.concatenate([least, np.maximum(least - 1, 0), rng.integers(2**32, size=20_000)])
+        u = m * 2.0**-32
+        j = g._guide[ptr[i] + (u * (ptr[i + 1] - ptr[i])).astype(np.intp)]
+        exact = np.searchsorted(g._jumps, 2 * i + u, side="right")
+        assert np.all(rows[exact] == i) and np.all(rows[j] == i) and np.all(j <= exact)
+        assert np.array_equal(j[:rows.size], exact[:rows.size])
+    assert np.array_equal(j, exact)  # the grid's rows have equal weights
+
+
 def test_one_way_edge_absorbs():
     # a -> b only: b has no out-edge, so its rate is 0 and walks that reach it stay
     g = WeightedGraph(["a", "b"], [("a", "b", 1.0)], measure_mode="unit",
