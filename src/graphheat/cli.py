@@ -99,16 +99,16 @@ def cmd_generate(args) -> int:
 
 def _run_suite(g, suite, times, seed, tol, n_funcs):
     """The Reports of each verifier call (of each function block, for harnack
-    and heat-gradient), in call order, each made when asked for."""
+    and heat-gradient, and each source block, for the kernel's upper and
+    lower bounds), in call order, each made when asked for."""
     pos_times = [t for t in times if t > 0]
     if suite == "volume":
         yield estimates.verify_volume_growth(g, pos_times)
     elif suite == "kernel-bounds":
         for t in pos_times:  # one kernel alive at a time
             kernel = semigroup.heat_kernel(g, t, tol=tol)
-            for verify in (estimates.verify_kernel_upper, estimates.verify_kernel_lower,
-                           estimates.verify_diagonal_lower):
-                yield verify(g, t, kernel=kernel)
+            yield from estimates._kernel_blocks(g, t, kernel)
+            yield estimates.verify_diagonal_lower(g, t, kernel=kernel)
             del kernel
     else:  # the function-sampling suites: one batch, one function per column
         rng = random.Random((seed << 32) | zlib.crc32(suite.encode()))  # per suite

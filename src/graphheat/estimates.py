@@ -65,18 +65,19 @@ def _sites(*positions):
     return np.column_stack(np.broadcast_arrays(*(np.asarray(p, object) for p in positions)))
 
 
-def _pair_sites(ids, t, mask=None):
-    """(pairs, 3) object array of the sites [x, y, t] of every pair of ids, or of
-    the pairs where the n x n mask holds, in row-major order; t is one shared
-    object. Filled column by column, with no n^2 temporary beyond the mask's
+def _pair_sites(ids, t, sources=slice(None), mask=None):
+    """(pairs, 3) object array of the sites [x, y, t] of the pairs from each id
+    x of the sources range to every id y, or of the pairs where the
+    (sources, n) mask holds, in row-major order; t is one shared object.
+    Filled column by column, with no temporary of the pairs beyond the mask's
     selection of one column."""
-    n = len(ids)
+    xs = ids[sources]
     if mask is None:
-        sites = np.empty((n, n, 3), object)
-        sites[:, :, 0], sites[:, :, 1], sites[:, :, 2] = ids[:, None], ids, t
-        return sites.reshape(n * n, 3)
+        sites = np.empty((len(xs), len(ids), 3), object)
+        sites[:, :, 0], sites[:, :, 1], sites[:, :, 2] = xs[:, None], ids, t
+        return sites.reshape(-1, 3)
     sites = np.empty((np.count_nonzero(mask), 3), object)
-    for k, column in enumerate((ids[:, None], ids)):
+    for k, column in enumerate((xs[:, None], ids)):
         sites[:, k] = np.broadcast_to(column, mask.shape)[mask]
     sites[:, 2] = t
     return sites
@@ -306,13 +307,27 @@ def heat_kernel_upper_bound(g: WeightedGraph, t: float, x) -> float:
     return math.exp(value) / g.ball_volume(x, math.sqrt(t))
 
 
+def _require_kernel(g: WeightedGraph, t: float, kernel):
+    """kernel, or the heat kernel at t when None; ValueError unless it is g's
+    kernel at time t."""
+    if kernel is None:
+        return heat_kernel(g, t)
+    if kernel.graph is not g or kernel.t != t:
+        raise ValueError(f"kernel must be the verified graph's at time {t!r}")
+    return kernel
+
+
 def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None):
     _require_symmetric(g, "heat kernel upper bound")
-    if kernel is None:
-        kernel = heat_kernel(g, t)
-    bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids]
-    return site_reports("kernel_upper", _pair_sites(g.ids, t),
-                        kernel.matrix.ravel(), np.repeat(bound, g.n))
+    t = check_time(t, positive=True)
+    return _kernel_upper(g, t, _require_kernel(g, t, kernel), slice(None))
+
+
+def _kernel_upper(g, t, kernel, sources):
+    # verify_kernel_upper's rows from the sources range
+    bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids[sources]]
+    return site_reports("kernel_upper", _pair_sites(g.ids, t, sources),
+                        kernel.matrix[sources].ravel(), np.repeat(bound, g.n))
 
 
 def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
@@ -335,24 +350,37 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None):
     _require_symmetric(g, "heat kernel lower bound")
     _require_mu_deg(g, "heat kernel lower bound")
     t = check_time(t, positive=True)
-    if kernel is None:
-        kernel = heat_kernel(g, t)
-    D = g.distance_matrix()
+    return _kernel_lower(g, t, _require_kernel(g, t, kernel), slice(None))
+
+
+def _kernel_lower(g, t, kernel, sources):
+    # verify_kernel_lower's rows from the sources range
+    D = g.distance_matrix()[sources]
     reached = np.isfinite(D)  # the pairs checked, in row-major order
-    return site_reports("kernel_lower", _pair_sites(g.ids, t, None if reached.all() else reached),
+    return site_reports("kernel_lower", _pair_sites(g.ids, t, sources,
+                                                    None if reached.all() else reached),
                         _kernel_lower_form(g.constants(), D[reached], t,
                                            np.broadcast_to(g.degrees, D.shape)[reached]),
-                        kernel.matrix[reached])
+                        kernel.matrix[sources][reached])
+
+
+def _kernel_blocks(g, t, kernel):
+    """verify_kernel_upper's rows, then verify_kernel_lower's, one record per
+    block of whole sources: as many as fit BLOCK_ROWS rows, and at least one."""
+    blocks = [slice(b.start, b.stop) for b in _function_blocks(g.n, g.n)]
+    for record in (_kernel_upper, _kernel_lower):
+        for sources in blocks:
+            r = record(g, t, kernel, sources)
+            r.shares_floats = True
+            yield r
 
 
 def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None):
     """p(t, y, y) >= e^{-t}/deg(y) on mu = deg graphs."""
     _require_mu_deg(g, "diagonal lower bound")
     t = check_time(t)
-    if kernel is None:
-        kernel = heat_kernel(g, t)
-    return site_reports("diagonal_lower", _sites(g.ids, t),
-                        math.exp(-t) / g.degrees, kernel.matrix.diagonal())
+    return site_reports("diagonal_lower", _sites(g.ids, t), math.exp(-t) / g.degrees,
+                        _require_kernel(g, t, kernel).matrix.diagonal())
 
 
 def _volume_growth_factor(c: GraphConstants, t: float) -> float:

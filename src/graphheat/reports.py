@@ -26,7 +26,9 @@ class Reports:
     columns: float arrays lhs, rhs, abs_tol, rel_tol and object arrays check,
     extra (a dict or None) and site, 1-d or (rows, positions) for list sites.
     A row passes when slack = rhs - lhs >= -(abs_tol + rel_tol * |rhs|); slack
-    and passed are computed once, when the record is made.
+    and passed are computed once, when the record is made. shares_floats, if
+    set, says that the records after it repeat its float values, as a
+    kernel's source blocks do: a writer keeps their texts for those records.
     """
 
     check: np.ndarray
@@ -38,6 +40,7 @@ class Reports:
     extra: np.ndarray
     slack: np.ndarray = field(init=False)
     passed: np.ndarray = field(init=False)
+    shares_floats: bool = field(init=False, default=False)
 
     def __post_init__(self):
         self.slack = self.rhs - self.lhs
@@ -161,6 +164,48 @@ def _texts(text):
     return texts
 
 
+VOCABULARY_FLOATS = 1 << 18  # float texts kept for later records: 8 MiB as bytes
+
+
+class _Vocabulary:
+    """reprs(floats) with a memory of the texts made for records that share
+    floats: a float whose bit pattern one of them held is looked up, not
+    formatted again. The first VOCABULARY_FLOATS texts are kept, as ASCII
+    bytes, from a record that shares_floats through the first that does not."""
+
+    def __init__(self, reprs):
+        self.reprs = reprs
+        self.keys, self.texts = np.empty(0, np.int64), np.empty(0, "S24")  # a float text has <= 24
+        self.made = None  # (bit patterns, texts) made for a sharing record being written
+
+    def __call__(self, floats):
+        bits = floats.view(np.int64)
+        at = np.minimum(self.keys.searchsorted(bits), len(self.keys) - 1)
+        known = self.keys[at] == bits if len(self.keys) else np.zeros(len(bits), bool)
+        out = np.empty(len(bits), object)
+        out[known] = list(map(bytes.decode, self.texts[at[known]].tolist()))
+        if not known.all():
+            out[~known] = made = self.reprs(floats[~known])
+            if self.made is not None:
+                self.made.append((bits[~known], np.array(made, "S24")))
+        return out
+
+    def write(self, r, write):
+        """write(r); then the texts made for r join the vocabulary if
+        r.shares_floats, else every text is forgotten."""
+        self.made = [] if r.shares_floats and len(self.keys) < VOCABULARY_FLOATS else None
+        write(r)
+        if not r.shares_floats:
+            self.keys, self.texts = np.empty(0, np.int64), np.empty(0, "S24")
+        elif self.made:
+            keys, first = np.unique(np.concatenate([k for k, _ in self.made]), return_index=True)
+            room = VOCABULARY_FLOATS - len(self.keys)
+            keys, texts = keys[:room], np.concatenate([t for _, t in self.made])[first[:room]]
+            at = self.keys.searchsorted(keys)
+            self.keys, self.texts = np.insert(self.keys, at, keys), np.insert(self.texts, at, texts)
+        self.made = None
+
+
 def _floats(cols, reprs):
     """texts(col) of a record's float columns: a bit pattern that occurs more than once
     over all of them (or is 0.0, so the table is never empty) is formatted once by
@@ -171,7 +216,7 @@ def _floats(cols, reprs):
         keys += [k, k[n > 1]]
     keys, n = np.unique(np.concatenate(keys), return_counts=True)
     keys = keys[n > 1]  # listed more than once
-    table = np.array(reprs(keys.view(float)), dtype=object)
+    table = reprs(keys.view(float))
 
     def texts(col):
         at = np.minimum(keys.searchsorted(bits := col.view(np.int64)), len(keys) - 1)
@@ -195,15 +240,18 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
     folded while the rows are written: keys[i] precedes field i and end ends a
     row; check, site, passed and extra (if given, written before end) give a
     column's texts, and listed(k) the (start, separator, stop, texts) of a list
-    site of k positions; reprs(floats) the texts of floats. A column whose rows
-    all hold one object, or one float bit pattern, is text of the template; each
-    other column fills a slot, CHUNK_ROWS rows at a time, before a chunk's join."""
+    site of k positions; reprs(floats) the texts of floats, called through one
+    _Vocabulary for the write. A column whose rows all hold one object, or one
+    float bit pattern, is text of the template; each other column fills a slot,
+    CHUNK_ROWS rows at a time, before a chunk's join."""
+    vocabulary = _Vocabulary(reprs)
+
     def piece(col, texts):
         return texts(col[:1])[0] if _same(col) else (texts, col)
 
     def write(r):
         values = [np.asarray(f, float) for f in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)]
-        floats = _floats([f for f in values if not _same(f)], reprs)
+        floats = _floats([f for f in values if not _same(f)], vocabulary)
         if r.site.ndim == 2:
             start, sep, stop, texts = listed(r.site.shape[1])
             sites = [start, *[x for p in r.site.T for x in (sep, piece(p, texts))][1:], stop]
@@ -231,7 +279,7 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
             fh.flush()
             _append(fh.fileno(), r.file.fileno())
         elif len(r):
-            write(r)
+            vocabulary.write(r, write)
         del r  # let go of a record before the next one is made
     return summary
 
@@ -257,6 +305,14 @@ def open_report(file):
     return open(file, "w", encoding="utf-8", newline="", closefd=not isinstance(file, int))
 
 
+def _json_floats(floats) -> list:
+    # float.__repr__ of each float, with nan, inf and -inf spelled as json does
+    texts = list(map(float.__repr__, floats.tolist()))
+    for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+        texts[i] = _JSON_FLOATS[texts[i]]
+    return texts
+
+
 def write_jsonl_rows(fh, reports) -> dict:
     """Write one JSON line per report row to the text file fh and return
     summarize(reports), folded while the rows are written. The bytes are those
@@ -264,7 +320,7 @@ def write_jsonl_rows(fh, reports) -> dict:
     dumps = _texts(json.dumps)
     keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
     return _write(fh, reports, keys, "}\n", dumps, dumps, lambda k: ("[", ", ", "]", dumps), dumps,
-                  lambda v: [_JSON_FLOATS.get(t, t) for t in map(float.__repr__, v.tolist())],
+                  _json_floats,
                   _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
 
 

@@ -42,6 +42,16 @@ def random_graph(rng, n_min=4, n_max=30, p=0.3, w_lo=0.5, w_hi=2.0,
         return g
 
 
+def two_grids(rows):
+    """Two disjoint rows x rows grids, mu = deg: half the pairs are unreachable."""
+    grid = generate("grid", rows=rows, cols=rows, measure_mode="degree")
+    rows_, cols = grid.edges[:2]
+    return WeightedGraph([f"{p}{v}" for p in "ab" for v in grid.ids],
+                         [(f"{p}{grid.ids[i]}", f"{p}{grid.ids[j]}", 1.0)
+                          for p in "ab" for i, j in zip(rows_, cols) if i < j],
+                         measure_mode="degree")
+
+
 def dense_weights(g):
     """g's weights as a dense n x n matrix, built from its edge record."""
     rows, cols, w, _ = g.edges

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import two_grids
 from graphheat import (cli, estimates, generate, heat_kernel, load_graph, reports,
                        save_graph, simulate, walk)
 from graphheat.cli import main
@@ -902,6 +903,52 @@ def test_verify_holds_one_function_block_at_a_time(tmp_path, monkeypatch, suite,
     assert ten <= bound * one, (one, ten)
 
 
+@pytest.mark.parametrize("t", ["1", "10"])
+def test_verify_holds_one_source_block_at_a_time(tmp_path, monkeypatch, t):
+    # a kernel's upper and lower bound rows are made and written a block of
+    # sources at a time, so a kernel-bounds run's traced peak is its heat
+    # kernel's and the graph's (whole records of n^2 rows read 1.9x and 2.7x)
+    _inline(monkeypatch)
+    g = generate("grid", rows=16, cols=16, measure_mode="degree")
+    graph = tmp_path / "grid16.json"
+    save_graph(graph, g)
+
+    def peak(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def verify():
+        assert run(["verify", "--graph", graph, "--suite", "kernel-bounds", "--t", t,
+                    "--out", tmp_path / "r.jsonl"]) == 0
+    verify()  # warm-up: imports and first-call caches
+    alone, whole = peak(lambda: heat_kernel(g, float(t))), peak(verify)
+    assert whole <= 1.25 * alone, (alone, whole)
+
+
+def _assert_same_record(got, want):
+    # the same rows, bit for bit
+    for name in ("check", "site", "extra"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    for name in ("lhs", "rhs", "abs_tol", "rel_tol", "slack", "passed"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _assert_report_is(out, records):
+    # the report's rows and footer are those of the records in turn; no slack
+    # is -0.0 (rhs - lhs is -0.0 only at rhs = -0.0), so a footer merged block
+    # by block has each record's minimum, sign and all
+    rows = io.StringIO()
+    reports.write_jsonl_rows(rows, records)
+    lines = out.read_text().splitlines()
+    assert lines[1:-1] == rows.getvalue().splitlines()
+    assert not any(np.signbit(r.rhs).any() for r in records)
+    assert lines[-1] == json.dumps({"summary": reports.summarize(records)})
+
+
 @pytest.mark.parametrize("suite, n_funcs", [("harnack", 7), ("heat-gradient", 45)])
 def test_verify_blocks_join_to_the_public_record(tmp_path, monkeypatch, suite, n_funcs):
     # the blocks the CLI writes are, joined, what the public verifier returns,
@@ -922,19 +969,39 @@ def test_verify_blocks_join_to_the_public_record(tmp_path, monkeypatch, suite, n
     public = (estimates.verify_harnack if suite == "harnack"
               else estimates.heat_gradient_estimate)(*args, **kwargs)
     assert len(blocks) > 2 and all(len(b) <= estimates.BLOCK_ROWS for b in blocks)
-    joined = reports.concat(blocks)
-    for name in ("check", "site", "extra"):
-        assert getattr(joined, name).tolist() == getattr(public, name).tolist(), name
-    for name in ("lhs", "rhs", "abs_tol", "rel_tol", "slack", "passed"):
-        assert getattr(joined, name).tobytes() == getattr(public, name).tobytes(), name
-    rows = io.StringIO()
-    reports.write_jsonl_rows(rows, public)
-    lines = out.read_text().splitlines()
-    assert lines[1:-1] == rows.getvalue().splitlines()
-    # no slack is -0.0 (rhs - lhs is -0.0 only at rhs = -0.0), so a footer
-    # merged block by block has the record's minimum, sign and all
-    assert not np.signbit(public.rhs).any()
-    assert lines[-1] == json.dumps({"summary": reports.summarize(public)})
+    _assert_same_record(reports.concat(blocks), public)
+    _assert_report_is(out, [public])
+
+
+@pytest.mark.parametrize("graph, sources", [("grid", [56, 56, 32]),
+                                            ("two-grids", [28] * 10 + [8])])
+def test_verify_kernel_blocks_join_to_the_public_records(tmp_path, monkeypatch, graph, sources):
+    # a 12x12 grid has 56 sources a block, the last block partial; two such
+    # grids have 28, and half their pairs unreachable, which kernel_lower
+    # skips: the upper blocks, then the lower blocks, joined, are what the
+    # public verifiers return, bit for bit, and the report is theirs and the
+    # diagonal record's
+    _inline(monkeypatch)
+    make_blocks, calls = estimates._kernel_blocks, []
+
+    def noted(*args):
+        calls.append((args, list(make_blocks(*args))))
+        yield from calls[-1][1]
+    monkeypatch.setattr(estimates, "_kernel_blocks", noted)
+    g = generate("grid", rows=12, cols=12, measure_mode="degree") if graph == "grid" \
+        else two_grids(12)
+    path, out = tmp_path / "g.json", tmp_path / "r.jsonl"
+    save_graph(path, g)
+    assert run(["verify", "--graph", path, "--suite", "kernel-bounds", "--t", "1",
+                "--out", out]) == 0
+    ((g, t, kernel), blocks), = calls
+    assert [len(b) // g.n for b in blocks[:len(sources)]] == sources
+    assert all(len(b) <= estimates.BLOCK_ROWS for b in blocks)
+    public = [estimates.verify_kernel_upper(g, t, kernel=kernel),
+              estimates.verify_kernel_lower(g, t, kernel=kernel)]
+    _assert_same_record(reports.concat(blocks[:len(sources)]), public[0])
+    _assert_same_record(reports.concat(blocks[len(sources):]), public[1])
+    _assert_report_is(out, [*public, estimates.verify_diagonal_lower(g, t, kernel=kernel)])
 
 
 @pytest.mark.parametrize("where", ["inline", "pooled"])

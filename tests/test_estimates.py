@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import k2, log_uniform, random_graph
+from conftest import k2, log_uniform, random_graph, two_grids as _two_grids
 from graphheat import (HypothesisError, UnreachableError, WeightedGraph,
                        all_pass, compose, evolve, generate, gradient_estimate,
                        gradient_lhs, harnack_factor, heat_gradient_estimate,
@@ -329,16 +329,6 @@ def test_verify_kernel_lower_sweep():
             assert all_pass(verify_kernel_lower(g, t))
 
 
-def _two_grids(rows):
-    # two disjoint rows x rows grids, mu = deg: half the pairs are unreachable
-    grid = generate("grid", rows=rows, cols=rows, measure_mode="degree")
-    rows_, cols = grid.edges[:2]
-    return WeightedGraph([f"{p}{v}" for p in "ab" for v in grid.ids],
-                         [(f"{p}{grid.ids[i]}", f"{p}{grid.ids[j]}", 1.0)
-                          for p in "ab" for i, j in zip(rows_, cols) if i < j],
-                         measure_mode="degree")
-
-
 @pytest.mark.parametrize("verify", [verify_kernel_upper, verify_kernel_lower])
 @pytest.mark.parametrize("graph", ["grid", "two-grids"])
 def test_kernel_records_are_built_without_pair_temporaries(verify, graph):
@@ -506,6 +496,20 @@ REJECTED = {
                                             heat_kernel(_grid3(), 1.0)),
     "harnack-one-distinct-time": lambda g: verify_harnack(g, np.ones(9),
                                                           [1.0, 1.0]),
+    # a kernel at another time or of another graph: upper and lower used to
+    # pass every row, and diagonal to report a false failure
+    "kernel-upper-other-time": lambda g: verify_kernel_upper(
+        g, 1.0, kernel=heat_kernel(g, 1.3)),
+    "kernel-lower-other-time": lambda g: verify_kernel_lower(
+        g, 1.0, kernel=heat_kernel(g, 1.3)),
+    "diagonal-lower-other-time": lambda g: verify_diagonal_lower(
+        g, 1.0, kernel=heat_kernel(g, 1.3)),
+    "kernel-upper-other-graph": lambda g: verify_kernel_upper(
+        g, 1.0, kernel=heat_kernel(_grid3(), 1.0)),
+    "kernel-lower-other-graph": lambda g: verify_kernel_lower(
+        g, 1.0, kernel=heat_kernel(_grid3(), 1.0)),
+    "diagonal-lower-other-graph": lambda g: verify_diagonal_lower(
+        g, 1.0, kernel=heat_kernel(_grid3(), 1.0)),
 }
 
 

@@ -342,7 +342,7 @@ def records(draw, lengths):
     or a (rows, positions) array whose positions each hold values of one
     kind; a site position may hold one object in every row, and the other
     columns may repeat a few values or be broadcasts. Its rows may all pass
-    or all fail."""
+    or all fail, and it may share its floats with the records after it."""
     n = draw(lengths)
     k = draw(st.none() | st.integers(0, 3))
     if k is None:
@@ -361,7 +361,9 @@ def records(draw, lengths):
                      for _ in range(2))
         lhs, rhs = (-low, high) if verdict else (high + 1.0, -low)
         abs_tol = rel_tol = np.zeros(n)
-    return Reports(check, sites, lhs, rhs, abs_tol, rel_tol, _column(draw, n, EXTRAS, object))
+    record = Reports(check, sites, lhs, rhs, abs_tol, rel_tol, _column(draw, n, EXTRAS, object))
+    record.shares_floats = draw(st.booleans())  # a writer reuses its float texts after it
+    return record
 
 
 @settings(max_examples=200, deadline=None,
@@ -369,12 +371,15 @@ def records(draw, lengths):
 @given(st.data())
 def test_writers_match_one_json_dumps_per_row(tmp_path, data):
     # chunk sizes drawn small, so records of 0, 1, chunk and chunk + 1 rows stay
-    # cheap; the next test uses the writers' own CHUNK_ROWS
+    # cheap; the next test uses the writers' own CHUNK_ROWS. The float texts
+    # kept for later records may fill a small vocabulary
     chunk = data.draw(st.sampled_from([1, 2, 3, 5]))
+    vocabulary = data.draw(st.sampled_from([1, 3, reports_module.VOCABULARY_FLOATS]))
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and the like
         recs = data.draw(st.lists(records(st.sampled_from([0, 1, chunk, chunk + 1])),
                                   max_size=3))
-        with mock.patch.object(reports_module, "CHUNK_ROWS", chunk):
+        with mock.patch.object(reports_module, "CHUNK_ROWS", chunk), \
+                mock.patch.object(reports_module, "VOCABULARY_FLOATS", vocabulary):
             _assert_writers_match_oracle(tmp_path, recs, {"seed": 0})
 
 

@@ -8,9 +8,11 @@ for the report file, stdout, stderr and the exit code, ``identical`` or
 
     python3 tools/compare_reports.py BASE_TREE HEAD_TREE
 
-The inputs come from HEAD_TREE: its example graphs, and the seed-0
+The inputs come from HEAD_TREE: its example graphs, the seed-0
 ``verify-grid``, ``verify-stiff`` and ``kernel-mc`` graphs that
-``perfbench/run.py``'s ``make_graph`` builds. On each graph but the
+``perfbench/run.py``'s ``make_graph`` builds, and a 24x24 grid with mu = deg
+from HEAD_TREE's ``generate`` (576 vertices: the kernel bounds are checked
+in blocks of 14 sources, the last of 2). On each graph but the
 ``kernel-mc`` one, ``verify --suite all`` runs with JSONL and with CSV
 output; on the example graphs and the ``verify-stiff`` graph (where lam t
 reaches 2e4, on the scaling-and-squaring route), ``kernel --t 0.1,1,10``
@@ -24,6 +26,7 @@ differs, else 0.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import shutil
@@ -52,6 +55,11 @@ def write_graphs(head: Path, work: Path) -> list:
     for workload in BENCH_GRAPHS:
         names.append(f"graphs/{workload}.json")
         (work / names[-1]).write_text(json.dumps(make_graph(workload, 0)))
+    names.append("graphs/grid24.json")
+    subprocess.run([sys.executable, "-m", "graphheat.cli", "generate", "--family", "grid",
+                    "--rows", "24", "--cols", "24", "--measure", "degree", "--out", names[-1]],
+                   cwd=work, env=dict(os.environ, PYTHONPATH=str(head / "src")),
+                   check=True, capture_output=True)
     return names
 
 
@@ -67,28 +75,34 @@ def commands(graphs: list) -> list:
             out.append((f"`verify --suite all --format {fmt}` on {graph}",
                         ["verify", "--graph", graph, "--suite", "all", "--format", fmt],
                         suffix))
-        if not graph.endswith("verify-grid.json"):
+        if not graph.endswith(("verify-grid.json", "grid24.json")):
             out.append((f"`kernel --t {KERNEL_TIMES}` on {graph}",
                         ["kernel", "--graph", graph, "--t", KERNEL_TIMES], "csv"))
     return out
 
 
 def run(tree: Path, work: Path, argv: list, report: str) -> tuple:
-    """(report bytes, stdout, stderr, exit code) of one command on tree."""
+    """(report path or None, stdout, stderr, exit code) of one command on tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "graphheat.cli", *argv, "--out", report],
                           cwd=work, env=env, capture_output=True)
     path = work / report
-    body = path.read_bytes() if path.exists() else None
-    path.unlink(missing_ok=True)
-    return body, proc.stdout, proc.stderr, proc.returncode
+    return path if path.exists() else None, proc.stdout, proc.stderr, proc.returncode
 
 
-def differing_rows(a: bytes, b: bytes) -> Counter:
+def same(x, y) -> bool:
+    # two outputs, or two report paths compared by content (None: no report)
+    if isinstance(x, Path) and isinstance(y, Path):
+        return filecmp.cmp(x, y, shallow=False)
+    return x == y
+
+
+def differing_rows(a: Path, b: Path) -> Counter:
     """check -> the number of lines of two JSONL reports that differ."""
-    return Counter(obj.get("check", next(iter(obj)))
-                   for x, y in zip_longest(a.splitlines(), b.splitlines())
-                   if x != y for obj in [json.loads(x or y)])
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        return Counter(obj.get("check", next(iter(obj)))
+                       for x, y in zip_longest(fa, fb)
+                       if x != y for obj in [json.loads(x or y)])
 
 
 def main(argv=None) -> int:
@@ -103,14 +117,17 @@ def main(argv=None) -> int:
     print("| command | report | stdout | stderr | exit code |")
     print("|---|---|---|---|---|")
     for label, cmd, suffix in commands(write_graphs(head, work)):
-        a = run(base, work, cmd, f"report.{suffix}")
-        b = run(head, work, cmd, f"report.{suffix}")
-        cells = ["identical" if x == y else "DIFFERENT" for x, y in zip(a, b)]
+        a = run(base, work, cmd, f"base.{suffix}")
+        b = run(head, work, cmd, f"head.{suffix}")
+        cells = ["identical" if same(x, y) else "DIFFERENT" for x, y in zip(a, b)]
         cells[3] += f" ({a[3]}, {b[3]})" if a[3] != b[3] else f" ({a[3]})"
-        differ += any(x != y for x, y in zip(a, b))
-        print(f"| {label} | {' | '.join(cells)} |")
-        if suffix == "jsonl" and None not in (a[0], b[0]) and a[0] != b[0]:
+        differ += any(cell.startswith("DIFFERENT") for cell in cells)
+        print(f"| {label} | {' | '.join(cells)} |", flush=True)
+        if suffix == "jsonl" and None not in (a[0], b[0]) and cells[0] == "DIFFERENT":
             moved.append((label, differing_rows(a[0], b[0])))
+        for report in (a[0], b[0]):
+            if report:
+                report.unlink()
     for label, rows in moved:
         print(f"\nDiffering lines of {label}: "
               + ", ".join(f"{check} {k}" for check, k in sorted(rows.items())))
