@@ -301,8 +301,19 @@ def _append(dst, src) -> None:
 
 def open_report(file):
     """A report's text file, opened for writing: UTF-8, each line ended as the
-    writer writes it. file is a path, or a descriptor left open on close."""
-    return open(file, "w", encoding="utf-8", newline="", closefd=not isinstance(file, int))
+    writer writes it. file is a path, or a descriptor left open on close. A
+    path is emptied as by mode "w", but truncated only if it holds bytes: on
+    ext4 (auto_da_alloc) closing a truncated file starts writing it back."""
+    if isinstance(file, int):
+        return open(file, "w", encoding="utf-8", newline="", closefd=False)
+    fd = os.open(file, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if os.fstat(fd).st_size:
+            os.ftruncate(fd, 0)
+        return open(fd, "w", encoding="utf-8", newline="")
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def _json_floats(floats) -> list:

@@ -42,6 +42,14 @@ def random_graph(rng, n_min=4, n_max=30, p=0.3, w_lo=0.5, w_hi=2.0,
         return g
 
 
+def stiff_path(mu_mid, n=50):
+    """Unit-weight path with mu = 1 except mu_mid at the middle vertex."""
+    ids = [f"v{i}" for i in range(n)]
+    mu = np.ones(n)
+    mu[n // 2] = mu_mid
+    return WeightedGraph(ids, [(ids[i], ids[i + 1], 1.0) for i in range(n - 1)], mu=mu)
+
+
 def two_grids(rows):
     """Two disjoint rows x rows grids, mu = deg: half the pairs are unreachable."""
     grid = generate("grid", rows=rows, cols=rows, measure_mode="degree")

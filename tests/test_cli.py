@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import two_grids
+from conftest import stiff_path, two_grids
 from graphheat import (cli, estimates, generate, heat_kernel, load_graph, reports,
                        save_graph, simulate, walk)
 from graphheat.cli import main
@@ -681,11 +681,17 @@ def test_pooled_exception_reaches_the_parent_with_its_traceback(tmp_path, monkey
     assert list(tmp_path.glob("*.jsonl*")) == []
 
 
-def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, capsys, clean_exit):
-    # every suite runs, kernel-bounds as one unit per time; the pooled run's
-    # units run in children, and its report, CSV and summary are the inline run's
-    graph = tmp_path / "grid4.json"
-    save_graph(graph, generate("grid", rows=4, cols=4, measure_mode="degree"))
+@pytest.mark.parametrize("graph_name", ["grid4x4", "stiff-path50"])
+def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, capsys, clean_exit,
+                                                       graph_name):
+    # on the grid (mu = deg) every suite runs, kernel-bounds as one unit per
+    # time; on the stiff path (explicit mu, lam = 2000) kernel-bounds and volume
+    # are skipped, so four units remain. The pooled run's units run in
+    # children, and its report, CSV and summary are the inline run's
+    grid = graph_name == "grid4x4"
+    graph = tmp_path / f"{graph_name}.json"
+    save_graph(graph, generate("grid", rows=4, cols=4, measure_mode="degree") if grid
+               else stiff_path(1e-3))
     argv = ["verify", "--graph", graph, "--suite", "all", "--t", "0.2,1,3.5",
             "--seed", "5", "--n-funcs", "3"]
     run_suite, pids = cli._run_suite, tmp_path / "pids"
@@ -695,6 +701,8 @@ def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, ca
         (pids / str(os.getpid())).touch()
         yield from run_suite(g, suite, *args)
     monkeypatch.setattr(cli, "_run_suite", note_pid)
+    fork_unit, forked = cli._fork_unit, []
+    monkeypatch.setattr(cli, "_fork_unit", lambda *args: forked.append(args) or fork_unit(*args))
     written = {}
     for where in ("inline", "pooled"):
         with monkeypatch.context() as m:
@@ -707,10 +715,30 @@ def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, ca
             written[where, None] = b"", capsys.readouterr().out
         workers = {p.name for p in pids.iterdir()} - {str(os.getpid())}
         assert bool(workers) == (where == "pooled"), where
+    assert len(forked) == 3 * (len(cli.SUITES) + 2 if grid else 4)  # three runs
     for fmt in ("json", "csv", None):
         assert written["inline", fmt] == written["pooled", fmt], fmt
     assert written["inline", "json"][1] == written["inline", None][1]
-    assert b'"check": "kernel_lower"' in written["inline", "json"][0]
+    assert (b'"check": "kernel_lower"' in written["inline", "json"][0]) == grid
+    assert ("kernel-bounds: skipped" in written["inline", None][1]) == (not grid)
+
+
+@pytest.mark.parametrize("n, forks", [(31, 0), (32, len(cli.SUITES) + 2)])
+def test_verify_forks_its_units_from_32_vertices(tmp_path, monkeypatch, capsys, clean_exit,
+                                                 n, forks):
+    # with two CPUs and the default size floor, each unit of a default run
+    # (kernel-bounds: one per time) runs in a forked child on a 32-vertex
+    # graph; on a 31-vertex one the forks would cost more than the suites take
+    if not hasattr(os, "fork"):
+        pytest.skip("needs fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fork_unit, forked = cli._fork_unit, []
+    monkeypatch.setattr(cli, "_fork_unit", lambda *args: forked.append(args) or fork_unit(*args))
+    graph = tmp_path / "path.json"
+    save_graph(graph, generate("path", n=n, measure_mode="degree"))
+    assert run(["verify", "--graph", graph, "--suite", "all"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(forked) == forks
 
 
 # (time -> a kernel unit's lhs, rhs): slacks 0.0, -0.0, NaN and 1.0
@@ -1091,14 +1119,25 @@ def test_verify_names_the_first_failure(capsys, monkeypatch, sites, shown):
     assert capsys.readouterr().err == f"first failure: kernel_lower at {shown}\n"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is needed only by dense_oracle on asymmetric weights
+def _loaded_by_cli_import(*packages):
+    # the modules of these top-level packages that `import graphheat.cli` loads
     code = ("import sys, graphheat.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by dense_oracle on asymmetric weights
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_statistics():
+    # NormalDist is needed only by kernel's --mc verdict; statistics would load
+    # decimal and fractions into every verify parent too
+    assert _loaded_by_cli_import("statistics", "decimal", "fractions") == "[]"
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

@@ -237,6 +237,32 @@ def test_writers_copy_parts_as_the_rows_they_hold(tmp_path, monkeypatch, sendfil
             part.file.close()
 
 
+def test_open_report_truncates_only_a_file_that_holds_bytes(tmp_path, monkeypatch):
+    # a path is emptied and made as by mode "w", but an empty one, such as the
+    # stage of a --out, is not truncated: closing a truncated file can start
+    # its writeback at once
+    truncated = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, size: truncated.append(size) or ftruncate(fd, size))
+    old, empty, new, plain = (tmp_path / name for name in ("old", "empty", "new", "plain"))
+    old.write_text("a text longer than the report\n")
+    empty.touch()
+    for path in (old, empty, new):
+        with open_report(path) as fh:
+            fh.write("row\r\n")
+    assert truncated == [0]
+    assert old.read_bytes() == empty.read_bytes() == new.read_bytes() == b"row\r\n"
+    open(plain, "w").close()
+    assert new.stat().st_mode == plain.stat().st_mode
+    # the CLI writes a replaced --out through its empty stage
+    graph = str(ROOT / "example_graphs" / "grid3x3.json")
+    for argv in (["verify", "--graph", graph, "--out", str(old)],
+                 ["kernel", "--graph", graph, "--out", str(old)]):
+        assert cli.main(argv) == 0
+        assert old.read_bytes().startswith((b'{"config"', b"t,x,y,p\r\n"))
+    assert truncated == [0]
+
+
 def test_concat_rejects_records_of_different_site_layouts():
     listed, bare = _sample()
     assert listed.site.shape == (1, 2) and bare.site.shape == (1,)

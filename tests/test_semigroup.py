@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import k2, log_uniform, random_graph
+from conftest import k2, log_uniform, random_graph, stiff_path
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve, generate,
                        heat_kernel, semigroup, verify_harnack)
 from graphheat.semigroup import DENSE_ORACLE_CAP
@@ -257,14 +257,6 @@ def _series_calls(monkeypatch):
     return calls
 
 
-def _stiff_path(mu_mid, n=50):
-    """Unit-weight path with mu = 1 except mu_mid at the middle vertex."""
-    ids = [f"v{i}" for i in range(n)]
-    mu = np.ones(n)
-    mu[n // 2] = mu_mid
-    return WeightedGraph(ids, [(ids[i], ids[i + 1], 1.0) for i in range(n - 1)], mu=mu)
-
-
 @st.composite
 def stiff_graphs(draw):
     """Symmetric graphs of 2 to 10 vertices, weights in [0.5, 2] and an
@@ -298,7 +290,7 @@ def test_series_within_derived_bound_of_oracle_on_both_paths(g, t):
 
 def test_squaring_matches_direct_series_within_derived_bound():
     # the same engine both ways, so no oracle error enters: lam t = 2000
-    g = _stiff_path(1e-3)
+    g = stiff_path(1e-3)
     tol = 1e-12
     E = heat_kernel(g, 1.0, tol=tol).matrix * g.mu[None, :]
     Q = np.eye(g.n) + semigroup.generator(g) / 2000.0
@@ -308,7 +300,7 @@ def test_squaring_matches_direct_series_within_derived_bound():
 
 def test_squaring_path_taken_where_cheaper(monkeypatch):
     calls = _series_calls(monkeypatch)
-    g = _stiff_path(1e-3)  # lam = 2000
+    g = stiff_path(1e-3)  # lam = 2000
     K = heat_kernel(g, 10.0)  # lam t = 2e4: one small step, squared 15 times
     assert len(calls) == 1 and calls[0][1]
     assert calls[0][0] * 2**15 == pytest.approx(2e4)
@@ -327,7 +319,7 @@ def test_squaring_path_taken_where_cheaper(monkeypatch):
 def test_very_stiff_kernel_within_derived_bound():
     # mu = 1e-6 at the middle vertex: at t = 100 the direct series needs
     # lam t = 2e8 terms and never finished; squaring takes s = 28 steps
-    g = _stiff_path(1e-6)
+    g = stiff_path(1e-6)
     t, tol = 100.0, 1e-10
     K = heat_kernel(g, t, tol=tol)
     E = K.matrix * g.mu[None, :]
