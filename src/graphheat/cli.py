@@ -325,10 +325,13 @@ def cmd_verify(args) -> int:
     failure, parts, forked = [], None, None
     with _Staged(args.out) as (out, path):
         try:
-            if any(suite in NEEDS_HOPS for suite, _ in units):
-                g.distance_matrix()  # once, before any fork
             workers = _workers(g, units)
             if workers > 1:
+                # built before the forks only if two or more children share it, else
+                # where it is read: verify-stiff's parent (harnack is the one reader),
+                # the run's largest process, then peaks at 30.05 MiB rather than 30.68
+                if sum(suite in NEEDS_HOPS for suite, _ in units) > 1:
+                    g.distance_matrix()
                 if out:
                     parts = [tempfile.TemporaryFile(dir=os.path.dirname(path) if path != out else None)
                              for _ in units]

@@ -221,12 +221,12 @@ def independence_sweep(n_sites=10_000, seed=0):
 
 # -- Harnack inequality --------------------------------------------------------
 
-def _harnack_form(c: GraphConstants, hops, gap: float):
-    """exp{2 d_mu gap + (4 mu_max/w_min) hops^2/gap}, elementwise in hops;
-    +inf where the exponent overflows a double."""
+def _harnack_form(c: GraphConstants, hops, gap: float, u=1.0):
+    """u exp{2 d_mu gap + (4 mu_max/w_min) hops^2/gap}, elementwise in hops
+    and u; +inf where the exponent or the product overflows a double."""
     with np.errstate(over="ignore"):
-        return np.exp(2.0 * c.d_mu * gap
-                      + (4.0 * c.mu_max / c.w_min) * np.square(hops) / gap)
+        return u * np.exp(2.0 * c.d_mu * gap
+                          + (4.0 * c.mu_max / c.w_min) * np.square(hops) / gap)
 
 
 def harnack_factor(g: WeightedGraph, x, y, t1: float, t2: float) -> float:
@@ -280,7 +280,7 @@ def _harnack_blocks(g, u0, time_grid, seed=0):
             "harnack", np.concatenate([_sites(g.ids[I], t1, g.ids[J], t2)
                                        for _, I, J, t1, t2 in block]),
             np.concatenate([snapshots[t1][k][I] for k, I, J, t1, t2 in block]),
-            np.concatenate([snapshots[t2][k][J] * _harnack_form(c, D[I, J], t2 - t1)
+            np.concatenate([_harnack_form(c, D[I, J], t2 - t1, snapshots[t2][k][J])
                             for k, I, J, t1, t2 in block]))
 
 

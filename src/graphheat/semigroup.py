@@ -66,7 +66,7 @@ def generator(g: WeightedGraph) -> np.ndarray:
 def _series(Q: np.ndarray, lt: float, tol: float, operand: np.ndarray) -> np.ndarray:
     """sum_k e^{-lt} lt^k/k! Q^k @ operand to a Poisson tail <= tol, weights in log space."""
     log_lt = math.log(lt)
-    cur = operand.astype(float).copy()
+    cur = operand.astype(float)
     log_coef = -lt  # log of e^{-lt} (lt)^k / k! at k = 0
     acc = math.exp(log_coef) * cur
     k = 0
@@ -86,15 +86,17 @@ def _series(Q: np.ndarray, lt: float, tol: float, operand: np.ndarray) -> np.nda
     return acc
 
 
-def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarray) -> np.ndarray:
-    """exp(tL) @ operand by the series, or by scaling and squaring where cheaper."""
+def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand=None) -> np.ndarray:
+    """exp(tL) @ operand (exp(tL) for operand None) by the series, or by squaring where cheaper."""
     t = check_time(t)
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
+    identity = operand is None
+    operand = np.eye(g.n) if identity else operand
     lam = float(g.rates.max(initial=0.0))
     lt = lam * t
     if lt == 0:  # t = 0, no edges, or lam * t underflowing: exp(tL) = I
-        return operand.astype(float).copy()
+        return operand.astype(float)
     Q = np.eye(g.n) + generator(g) / lam
     s = math.ceil(math.log2(lam) + math.log2(t)) if lt > 1 else 0  # lt may overflow
     step = lam * math.ldexp(t, -s)  # about (1/2, 1] when s > 0
@@ -103,14 +105,14 @@ def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand: np.ndarr
         E = _series(Q, step, math.ldexp(tol, -s), np.eye(g.n))
         for _ in range(s):
             E = E @ E
-        return E @ operand
+        return E if identity else E @ operand
     return _series(Q, lt, tol, operand)
 
 
 def heat_kernel(g: WeightedGraph, t: float, tol: float = DEFAULT_TOL) -> HeatKernel:
     """Heat kernel at time t with series truncation error <= tol in max norm."""
-    E = _uniformized_apply(g, t, tol, np.eye(g.n))
-    return HeatKernel(float(t), E / g.mu[None, :], g)
+    E = _uniformized_apply(g, t, tol)
+    return HeatKernel(float(t), np.divide(E, g.mu, out=E), g)  # column y over mu(y), in place
 
 
 def evolve(g: WeightedGraph, u0, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -681,16 +681,19 @@ def test_pooled_exception_reaches_the_parent_with_its_traceback(tmp_path, monkey
     assert list(tmp_path.glob("*.jsonl*")) == []
 
 
-@pytest.mark.parametrize("graph_name", ["grid4x4", "stiff-path50"])
+@pytest.mark.parametrize("graph_name", ["grid4x4", "grid7x7", "stiff-path50"])
 def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, capsys, clean_exit,
                                                        graph_name):
-    # on the grid (mu = deg) every suite runs, kernel-bounds as one unit per
+    # on a grid (mu = deg) every suite runs, kernel-bounds as one unit per
     # time; on the stiff path (explicit mu, lam = 2000) kernel-bounds and volume
     # are skipped, so four units remain. The pooled run's units run in
-    # children, and its report, CSV and summary are the inline run's
-    grid = graph_name == "grid4x4"
+    # children, and its report, CSV and summary are the inline run's. The
+    # parent builds the hop matrix before the first fork on a grid, where five
+    # units read it, and never on the stiff path, where harnack alone does
+    side = {"grid4x4": 4, "grid7x7": 7}.get(graph_name)
+    grid = side is not None
     graph = tmp_path / f"{graph_name}.json"
-    save_graph(graph, generate("grid", rows=4, cols=4, measure_mode="degree") if grid
+    save_graph(graph, generate("grid", rows=side, cols=side, measure_mode="degree") if grid
                else stiff_path(1e-3))
     argv = ["verify", "--graph", graph, "--suite", "all", "--t", "0.2,1,3.5",
             "--seed", "5", "--n-funcs", "3"]
@@ -701,8 +704,9 @@ def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, ca
         (pids / str(os.getpid())).touch()
         yield from run_suite(g, suite, *args)
     monkeypatch.setattr(cli, "_run_suite", note_pid)
-    fork_unit, forked = cli._fork_unit, []
-    monkeypatch.setattr(cli, "_fork_unit", lambda *args: forked.append(args) or fork_unit(*args))
+    fork_unit, hops_at_fork = cli._fork_unit, []
+    monkeypatch.setattr(cli, "_fork_unit", lambda g, *args: hops_at_fork.append(
+        "_hops" in g.__dict__) or fork_unit(g, *args))
     written = {}
     for where in ("inline", "pooled"):
         with monkeypatch.context() as m:
@@ -715,7 +719,8 @@ def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, ca
             written[where, None] = b"", capsys.readouterr().out
         workers = {p.name for p in pids.iterdir()} - {str(os.getpid())}
         assert bool(workers) == (where == "pooled"), where
-    assert len(forked) == 3 * (len(cli.SUITES) + 2 if grid else 4)  # three runs
+    assert len(hops_at_fork) == 3 * (len(cli.SUITES) + 2 if grid else 4)  # three runs
+    assert set(hops_at_fork) == {grid}
     for fmt in ("json", "csv", None):
         assert written["inline", fmt] == written["pooled", fmt], fmt
     assert written["inline", "json"][1] == written["inline", None][1]
@@ -739,6 +744,18 @@ def test_verify_forks_its_units_from_32_vertices(tmp_path, monkeypatch, capsys, 
     assert run(["verify", "--graph", graph, "--suite", "all"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(forked) == forks
+
+
+def test_verify_harnack_overflow_is_silent(tmp_path):
+    # on a 50-vertex mu = deg path the far pairs' Harnack factor times u(y, t2)
+    # overflows to +inf; a passing run says so on no stream but its summary
+    graph = tmp_path / "path50.json"
+    save_graph(graph, generate("path", n=50, measure_mode="degree"))
+    proc = subprocess.run([sys.executable, "-m", "graphheat.cli", "verify", "--graph", str(graph),
+                           "--suite", "harnack"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "harnack: 60000/60000 pass" in proc.stdout
 
 
 # (time -> a kernel unit's lhs, rhs): slacks 0.0, -0.0, NaN and 1.0

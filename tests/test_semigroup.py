@@ -316,6 +316,18 @@ def test_squaring_path_taken_where_cheaper(monkeypatch):
     assert calls == [(1.0, True)]  # lam t = 1: direct
 
 
+@pytest.mark.parametrize("t, lt", [(10.0, 10.0 / 16), (0.1, 0.1)])
+def test_heat_kernel_is_evolve_of_the_identity_bit_for_bit(monkeypatch, t, lt):
+    # heat_kernel skips the squaring route's product with the identity and
+    # divides by mu in place; E @ I is E for a finite E, so the kernel is
+    # evolve's identity batch over mu, bit for bit, on either route
+    g = generate("grid", rows=16, cols=16, measure_mode="degree")
+    calls = _series_calls(monkeypatch)
+    K = heat_kernel(g, t)
+    assert calls == [(lt, True)]  # t = 10: a step of 10/16, squared 4 times
+    assert K.matrix.tobytes() == (evolve(g, np.eye(g.n), t) / g.mu).tobytes()
+
+
 def test_very_stiff_kernel_within_derived_bound():
     # mu = 1e-6 at the middle vertex: at t = 100 the direct series needs
     # lam t = 2e8 terms and never finished; squaring takes s = 28 steps
