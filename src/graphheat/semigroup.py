@@ -66,7 +66,7 @@ def generator(g: WeightedGraph) -> np.ndarray:
 def _series(Q: np.ndarray, lt: float, tol: float, operand: np.ndarray) -> np.ndarray:
     """sum_k e^{-lt} lt^k/k! Q^k @ operand to a Poisson tail <= tol, weights in log space."""
     log_lt = math.log(lt)
-    cur = operand.astype(float)
+    cur, spare = operand, np.empty_like(operand)  # overwrites the float operand; terms swap in
     log_coef = -lt  # log of e^{-lt} (lt)^k / k! at k = 0
     acc = math.exp(log_coef) * cur
     k = 0
@@ -78,35 +78,40 @@ def _series(Q: np.ndarray, lt: float, tol: float, operand: np.ndarray) -> np.nda
             if tail_bound <= tol:
                 break
         k += 1
-        cur = Q @ cur
+        cur, spare = np.matmul(Q, cur, out=spare), cur
         log_coef += log_lt - math.log(k)
         coef = math.exp(log_coef)
         if coef > 0.0:
-            acc += coef * cur
+            acc += np.multiply(coef, cur, out=spare)
     return acc
 
 
 def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand=None) -> np.ndarray:
-    """exp(tL) @ operand (exp(tL) for operand None) by the series, or by squaring where cheaper."""
+    """exp(tL) @ operand (exp(tL) for operand None) by the series, or by squaring where cheaper;
+    holds Q, the sum and two work arrays while summing, two n x n arrays while squaring."""
     t = check_time(t)
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     identity = operand is None
-    operand = np.eye(g.n) if identity else operand
+    size = g.n**2 if identity else operand.size
     lam = float(g.rates.max(initial=0.0))
     lt = lam * t
     if lt == 0:  # t = 0, no edges, or lam * t underflowing: exp(tL) = I
-        return operand.astype(float)
-    Q = np.eye(g.n) + generator(g) / lam
+        return np.eye(g.n) if identity else operand.astype(float)
+    Q = generator(g)
+    Q /= lam  # in place: no freed n x n array lifts malloc's mmap threshold (see README)
+    np.fill_diagonal(Q, Q.diagonal() + 1.0)  # I + L/lam bit for bit: L holds no -0.0
     s = math.ceil(math.log2(lam) + math.log2(t)) if lt > 1 else 0  # lt may overflow
     step = lam * math.ldexp(t, -s)  # about (1/2, 1] when s > 0
     terms = [x + 12.0 * math.sqrt(x) + 30.0 for x in (lt, step)]  # series lengths
-    if s > 0 and terms[0] * operand.size > (terms[1] + s) * g.n**2 + operand.size:
+    if s > 0 and terms[0] * size > (terms[1] + s) * g.n**2 + size:
         E = _series(Q, step, math.ldexp(tol, -s), np.eye(g.n))
+        del Q
+        F = np.empty_like(E)
         for _ in range(s):
-            E = E @ E
+            E, F = np.matmul(E, E, out=F), E
         return E if identity else E @ operand
-    return _series(Q, lt, tol, operand)
+    return _series(Q, lt, tol, np.eye(g.n) if identity else operand.astype(float))
 
 
 def heat_kernel(g: WeightedGraph, t: float, tol: float = DEFAULT_TOL) -> HeatKernel:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,3 +341,109 @@ def test_very_stiff_kernel_within_derived_bound():
     assert np.abs(K.mass() - 1.0).max() <= series
     oracle = dense_oracle(g, t).matrix * g.mu[None, :]
     assert np.abs(E - oracle).max() <= series + _oracle_bound(g, t)
+
+
+# -- reused work buffers ---------------------------------------------------------
+
+def _traced_peak(work):
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])  # lam t = 1: the series; 10: squared 4 times
+def test_heat_kernel_holds_four_matrices(t):
+    # the series holds Q, its sum and two work arrays it swaps, and squaring
+    # holds two arrays; evolve of a batch holds Q and three batch arrays
+    g = generate("grid", rows=16, cols=16, measure_mode="degree")
+    n, m, slack = g.n, 20, 64 * g.n
+    U0 = np.ones((n, m))
+    heat_kernel(g, t)  # warm-up: first-call caches
+    assert _traced_peak(lambda: heat_kernel(g, t)) <= 8 * 4 * n**2 + slack
+    assert _traced_peak(lambda: evolve(g, U0, t)) <= 8 * (n**2 + 3 * n * m) + slack
+
+
+def _allocating_apply(g, t, tol, operand=None):
+    """exp(tL) @ operand as the engine computed it with a new array for every
+    product, term and square; the buffered engine must match it bit for bit."""
+    def series(Q, lt, tol, operand):
+        log_lt = math.log(lt)
+        cur = operand.astype(float)
+        log_coef = -lt
+        acc = math.exp(log_coef) * cur
+        k = 0
+        while True:
+            if k + 1 > lt:
+                log_next = log_coef + log_lt - math.log(k + 1)
+                if math.exp(log_next) / (1.0 - lt / (k + 2)) <= tol:
+                    break
+            k += 1
+            cur = Q @ cur
+            log_coef += log_lt - math.log(k)
+            coef = math.exp(log_coef)
+            if coef > 0.0:
+                acc += coef * cur
+        return acc
+
+    identity = operand is None
+    operand = np.eye(g.n) if identity else operand
+    lam = float(g.rates.max(initial=0.0))
+    lt = lam * t
+    if lt == 0:
+        return operand.astype(float)
+    Q = np.eye(g.n) + semigroup.generator(g) / lam
+    s = math.ceil(math.log2(lam) + math.log2(t)) if lt > 1 else 0
+    step = lam * math.ldexp(t, -s)
+    terms = [x + 12.0 * math.sqrt(x) + 30.0 for x in (lt, step)]
+    if s > 0 and terms[0] * operand.size > (terms[1] + s) * g.n**2 + operand.size:
+        E = series(Q, step, math.ldexp(tol, -s), np.eye(g.n))
+        for _ in range(s):
+            E = E @ E
+        return E if identity else E @ operand
+    return series(Q, lt, tol, operand)
+
+
+def _assert_buffered_is_allocating(g, t, tol=1e-12):
+    # identity, one vector and a batch; the operands are left as they were
+    u = np.linspace(1.0, 2.0, g.n)
+    for operand in (None, u, np.stack([u, -u, u * u], 1)):
+        before = None if operand is None else operand.tobytes()
+        got = semigroup._uniformized_apply(g, t, tol, operand)
+        assert got.tobytes() == _allocating_apply(g, t, tol, operand).tobytes()
+        assert operand is None or operand.tobytes() == before
+
+
+@pytest.mark.parametrize("graph, t, squared", [
+    ("grid16", 1.0, ()),  # lam t = 1: the series for every operand
+    ("grid16", 10.0, (None,)),  # the identity squared 4 times, vectors by the series
+    ("stiff", 10.0, (None, 1, 2)),  # lam t = 2e4: squared 15 times
+    ("stiff", 0.01, (None,)),  # lam t = 20: one vector by the series
+    ("stiff", 0.0, ()),
+])
+def test_buffered_series_matches_allocating_series_bit_for_bit(monkeypatch, graph, t, squared):
+    g = (generate("grid", rows=16, cols=16, measure_mode="degree") if graph == "grid16"
+         else stiff_path(1e-3))
+    calls = _series_calls(monkeypatch)
+    _assert_buffered_is_allocating(g, t)
+    lam_t = float(g.rates.max()) * t
+    routes = [ndim for (lt, _), ndim in zip(calls, (None, 1, 2)) if lt < lam_t]
+    assert routes == list(squared)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stiff_graphs(), st.floats(0.0, 10.0))
+def test_buffered_series_matches_allocating_series_on_stiff_graphs(g, t):
+    _assert_buffered_is_allocating(g, t)
+
+
+@pytest.mark.parametrize("shape", [(256,), (256, 20)])
+def test_evolve_leaves_its_initial_function_unchanged(shape):
+    g = generate("grid", rows=16, cols=16, measure_mode="degree")
+    u0 = np.linspace(1.0, 2.0, math.prod(shape)).reshape(shape)
+    before = u0.tobytes()
+    for t in (0.0, 1.0, 10.0):
+        evolve(g, u0, t)
+        assert u0.tobytes() == before
