@@ -19,6 +19,7 @@ import stat
 import sys
 import tempfile
 import zlib
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -28,11 +29,15 @@ from .graph import (FAMILIES, MEASURE_MODES, GraphFormatError, generate,
                     load_graph, save_graph)
 from .calculus import laplacian, sqrt_identity_residual
 
-SUITES = ("gradient", "heat-gradient", "previous", "harnack",
-          "kernel-bounds", "volume")
-LONGEST_FIRST = ("kernel-bounds", "harnack", "heat-gradient", "previous",
-                 "gradient", "volume")  # the order forked units start in
-NEEDS_HOPS = ("harnack", "kernel-bounds", "volume")
+# the suites in report order: the distinct positive times each needs, the checks of
+# its hypotheses, whether its units read hops, and the rank forked units start in
+Suite = namedtuple("Suite", "times_needed hypotheses reads_hops unit_per_time start_rank")
+SUITES = {"gradient": Suite(0, (), False, False, 4),
+          "heat-gradient": Suite(1, (), False, False, 2),
+          "previous": Suite(0, (), False, False, 3),
+          "harnack": Suite(2, (), True, False, 1),
+          "kernel-bounds": Suite(1, (estimates._require_mu_deg,), True, True, 0),
+          "volume": Suite(1, (estimates._require_mu_deg,), True, False, 5)}
 # verify forks its units on graphs of at least this many vertices. Measured on
 # 32-64 vertices, each process peaked 1.7-2.7 MiB below the inline run, and the
 # median wall moved -17 % to +7 %, within the run-to-run spread. On 4-16
@@ -60,13 +65,17 @@ FLAG_RULES = {
 
 
 def _check_flags(args) -> None:
-    """Parse --t into args.times and convert and range-check the numeric
-    flags; ValueError names the first bad value."""
+    """Parse --t into args.times, reject a value repeated in --t or --suite, and
+    convert and range-check the numeric flags; ValueError names the first bad value."""
     if hasattr(args, "t"):
         try:
             args.times = tuple(map(semigroup.check_time, args.t.split(",")))
         except ValueError as exc:
             raise ValueError(f"--t {args.t!r}: {exc}") from None
+    for flag, values in (("t", getattr(args, "times", ())),
+                         ("suite", getattr(args, "suite", "").split(","))):
+        if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+            raise ValueError(f"--{flag} {getattr(args, flag)!r} repeats {repeated[0]!r}")
     for name, (convert, ok, want) in FLAG_RULES.items():
         text = getattr(args, name, None)
         if text is None:
@@ -133,13 +142,11 @@ def _run_suite(g, suite, times, seed, tol, n_funcs):
 
 def _unmet(g, suite, times):
     """Why the suite cannot run on g at these times, or None."""
-    need = {"heat-gradient": 1, "harnack": 2, "kernel-bounds": 1, "volume": 1}.get(suite, 0)
-    if len({t for t in times if t > 0}) < need:
+    if len({t for t in times if t > 0}) < (need := SUITES[suite].times_needed):
         return f"suite {suite!r} needs {need} distinct positive time(s) in --t"
     try:
-        if suite in ("kernel-bounds", "volume"):
-            estimates._require_symmetric(g, f"suite {suite!r}")
-            estimates._require_mu_deg(g, f"suite {suite!r}")
+        for require in SUITES[suite].hypotheses:
+            require(g, f"suite {suite!r}")
     except estimates.HypothesisError as exc:
         return str(exc)
 
@@ -194,10 +201,10 @@ def _is_fd(st, fd) -> bool:
 
 
 def _units(names, times):
-    """(suite, times) of each unit of work, in report order: a suite, or for
-    kernel-bounds one positive time, whose records _run_suite yields alone."""
-    kernel = [("kernel-bounds", (t,)) for t in times if t > 0]
-    return [u for s in names for u in (kernel if s == "kernel-bounds" else [(s, times)])]
+    """(suite, times) of each unit of work, in report order: a suite, or one of its
+    positive times if unit_per_time, whose records _run_suite yields alone."""
+    return [(s, ts) for s in names
+            for ts in ([(t,) for t in times if t > 0] if SUITES[s].unit_per_time else [times])]
 
 
 def _unit_records(g, args, unit, failure):
@@ -268,7 +275,7 @@ def _forked_parts(g, args, units, parts, workers, failure):
     first failing row of the first unit with one. A unit raises as soon as it
     ends; then, as on close, the running children are ended and reaped."""
     import select, signal  # only here, as the inline path needs neither
-    order = iter(sorted(range(len(units)), key=lambda i: (LONGEST_FIRST.index(units[i][0]),
+    order = iter(sorted(range(len(units)), key=lambda i: (SUITES[units[i][0]].start_rank,
                                                           -max(units[i][1]))))
     running, done, poll = {}, {}, select.poll()  # pipe -> (unit index, pid)
     try:
@@ -327,10 +334,9 @@ def cmd_verify(args) -> int:
         try:
             workers = _workers(g, units)
             if workers > 1:
-                # built before the forks only if two or more children share it, else
-                # where it is read: verify-stiff's parent (harnack is the one reader),
-                # the run's largest process, then peaks at 30.05 MiB rather than 30.68
-                if sum(suite in NEEDS_HOPS for suite, _ in units) > 1:
+                # built before the forks only if two or more children read it, else where
+                # it is read: a run with one reader (verify-stiff) then peaks 0.6 MiB lower
+                if sum(SUITES[suite].reads_hops for suite, _ in units) > 1:
                     g.distance_matrix()
                 if out:
                     parts = [tempfile.TemporaryFile(dir=os.path.dirname(path) if path != out else None)

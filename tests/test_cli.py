@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from conftest import stiff_path, two_grids
-from graphheat import (cli, estimates, generate, heat_kernel, load_graph, reports,
-                       save_graph, simulate, walk)
+from graphheat import (WeightedGraph, cli, estimates, generate, heat_kernel, load_graph,
+                       reports, save_graph, simulate, walk)
 from graphheat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,6 +140,38 @@ def test_verify_unknown_suite(tmp_path):
     graph = tmp_path / "g.json"
     run(["generate", "--family", "path", "--n", "2", "--out", graph])
     assert run(["verify", "--graph", graph, "--suite", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_suite_table_entry_is_what_verify_does(tmp_path, monkeypatch, capsys, suite):
+    # each entry of cli.SUITES against the CLI's behaviour, so a new suite is
+    # covered by its entry alone: the times it needs, its hypotheses, whether
+    # it reads hops (the pre-fork rule trusts this), and its units
+    entry = cli.SUITES[suite]
+    assert sorted(e.start_rank for e in cli.SUITES.values()) == list(range(len(cli.SUITES)))
+    _inline(monkeypatch)
+    grid, stiff = tmp_path / "grid.json", tmp_path / "stiff.json"
+    save_graph(grid, generate("grid", rows=3, cols=3, measure_mode="degree"))
+    save_graph(stiff, stiff_path(1e-3))
+    argv = ["verify", "--suite", suite, "--n-funcs", "2"]
+    if entry.times_needed:  # one distinct positive time fewer than it needs
+        short = ",".join(["0", *("0.5", "1", "2")[:entry.times_needed - 1]])
+        assert run([*argv, "--graph", grid, "--t", short]) == 2
+        assert capsys.readouterr().err == (f"error: suite {suite!r} needs {entry.times_needed} "
+                                           "distinct positive time(s) in --t\n")
+    # explicit mu, as on the verify-stiff path: the suites with hypotheses exit 2
+    assert run([*argv, "--graph", stiff]) == (2 if entry.hypotheses else 0)
+    assert capsys.readouterr().err == (f"error: suite {suite!r} requires mu(x) = deg(x) for all x\n"
+                                       if entry.hypotheses else "")
+    loaded = []
+    monkeypatch.setattr(cli, "load_graph", lambda path: loaded.append(load_graph(path)) or loaded[-1])
+    assert run([*argv, "--graph", grid, "--t", "0,0.5,1,2"]) == 0
+    assert ("_hops" in loaded[-1].__dict__) == entry.reads_hops
+    units = []
+    monkeypatch.setattr(cli, "_run_suite", lambda g, s, times, *args: units.append((s, times)) or ())
+    assert run([*argv, "--graph", grid, "--t", "0,0.5,1,2"]) == 0
+    assert units == ([(suite, (t,)) for t in (0.5, 1.0, 2.0)] if entry.unit_per_time
+                     else [(suite, (0.0, 0.5, 1.0, 2.0))])
 
 
 def test_verify_csv_format(tmp_path):
@@ -359,6 +391,13 @@ BAD_FLAGS = {
     "generate-seed-not-a-number": ["generate", "--family", "path", "--n", "3",
                                    "--seed", "s"],
     "generate-grid-without-rows": ["generate", "--family", "grid", "--cols", "3"],
+    # a repeated value wrote rows twice: a suite's, or those of kernel-bounds,
+    # volume and heat-gradient at a time (forking two identical kernel units)
+    "verify-suite-repeated": ["verify", "--suite", "gradient,gradient"],
+    "verify-suite-all-repeated": ["verify", "--suite", "all,all"],
+    "verify-t-repeated": ["verify", "--t", "1,1,2"],
+    "verify-t-spelled-twice": ["verify", "--t", "2,1,2.0"],
+    "kernel-t-repeated": ["kernel", "--t", "1,0.5,1"],
 }
 
 
@@ -505,7 +544,7 @@ def test_verify_crashed_in_its_last_suite_leaves_out_as_it_found_it(
     run_suite, seen = cli._run_suite, tmp_path / "seen.json"
 
     def crash_last(g, suite, *args):
-        if suite == cli.SUITES[-1]:
+        if suite == list(cli.SUITES)[-1]:
             seen.write_text(json.dumps([(p.name, p.stat().st_size) for p in out.parent.iterdir()]))
             raise RuntimeError("last suite crashed")
         yield from run_suite(g, suite, *args)
@@ -555,7 +594,7 @@ def test_verify_worker_crash_leaves_out_as_it_found_it(tmp_path, monkeypatch, cl
     run_suite, parent = cli._run_suite, os.getpid()
 
     def crash_last(g, suite, *args):
-        if suite == cli.SUITES[-1]:
+        if suite == list(cli.SUITES)[-1]:
             assert os.getpid() != parent
             if crash == "exit":
                 os._exit(1)
@@ -756,6 +795,35 @@ def test_verify_harnack_overflow_is_silent(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "harnack: 60000/60000 pass" in proc.stdout
+
+
+@pytest.mark.parametrize("graph_name, times, forked", [
+    ("grid3x3", "20000", False),
+    ("path3-wmin1e-4", None, False),
+    ("grid6x6", "20000", True),
+])
+def test_verify_bounds_past_exp_overflow_pass(tmp_path, monkeypatch, capsys, clean_exit,
+                                              graph_name, times, forked):
+    # 4 sqrt(2 mu_max t / w_min) passes exp's 709.78 on these mu = deg graphs (at
+    # t = 10 on the path): kernel-bounds and volume died with an OverflowError
+    # traceback and exit 1; their bounds are now +inf, and every row passes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0},
+                        raising=False)
+    fork_unit, forks = cli._fork_unit, []
+    monkeypatch.setattr(cli, "_fork_unit", lambda *args: forks.append(args) or fork_unit(*args))
+    graph, out = tmp_path / "g.json", tmp_path / "r.jsonl"
+    save_graph(graph, WeightedGraph(["a", "b", "c"], [("a", "b", 1e-4), ("b", "c", 1.0)],
+                                    measure_mode="degree") if graph_name.startswith("path")
+               else generate("grid", rows=int(graph_name[-1]), cols=int(graph_name[-1]),
+                             measure_mode="degree"))
+    argv = ["verify", "--graph", graph, "--n-funcs", "2", "--out", out]
+    assert run([*argv, *(["--t", times] if times else [])]) == 0
+    assert bool(forks) == forked
+    assert "FAIL" not in capsys.readouterr().out
+    rows = [json.loads(line) for line in out.read_text().splitlines()[1:-1]]
+    assert all(row["pass"] for row in rows)
+    for check in ("kernel_upper", "volume_growth"):
+        assert any(row["rhs"] == math.inf for row in rows if row["check"] == check)
 
 
 # (time -> a kernel unit's lhs, rhs): slacks 0.0, -0.0, NaN and 1.0

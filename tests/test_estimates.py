@@ -387,6 +387,22 @@ def test_volume_growth_hypothesis_gating():
         volume_growth_bound(k2(mu=(2.0, 1.0)), "a", 1.0)
 
 
+@pytest.mark.parametrize("graph, t", [
+    (generate("grid", rows=3, cols=3, measure_mode="degree"), 20000.0),
+    (WeightedGraph(["a", "b", "c"], [("a", "b", 1e-4), ("b", "c", 1.0)],
+                   measure_mode="degree"), 10.0),
+], ids=["grid3x3-t20000", "path3-wmin1e-4-t10"])
+def test_exponential_bounds_are_inf_where_exp_overflows(graph, t):
+    # 4 sqrt(2 mu_max t / w_min) is past exp's 709.78 here: both helpers
+    # raised OverflowError; like harnack_factor they now return +inf
+    c = graph.constants()
+    assert 4.0 * math.sqrt(2.0 * c.mu_max * t / c.w_min) > 710
+    x = graph.ids[0]
+    assert heat_kernel_upper_bound(graph, t, x) == math.inf
+    assert volume_growth_bound(graph, x, t) == math.inf
+    assert all_pass(verify_kernel_upper(graph, t)) and all_pass(verify_volume_growth(graph, [t]))
+
+
 # -- per-site reports against the scalar helpers ----------------------------------
 
 def _two_components():

@@ -16,11 +16,14 @@ in blocks of 14 sources, the last of 2). On each graph but the
 ``kernel-mc`` one, ``verify --suite all`` runs with JSONL and with CSV
 output; on the example graphs and the ``verify-stiff`` graph (where lam t
 reaches 2e4, on the scaling-and-squaring route), ``kernel --t 0.1,1,10``
-dumps the series kernel; on the ``kernel-mc`` graph, ``kernel --t 1 --mc
-300`` runs. Below the table, each JSONL report that differs gets the number
-of differing lines per check, compared line by line (the config and summary
-lines count under ``config`` and ``summary``). Exits 1 if any output
-differs, else 0.
+dumps the series kernel, and two JSONL runs exercise the suite table:
+``verify --suite volume,harnack,gradient --t 0.5,2`` (a list not in report
+order; on ``verify-stiff`` volume's hypothesis exits 2) and ``verify --suite
+all --t 0,1`` (harnack skipped, and on ``verify-stiff`` kernel-bounds and
+volume too); on the ``kernel-mc`` graph, ``kernel --t 1 --mc 300`` runs.
+Below the table, each JSONL report that differs gets the number of differing
+lines per check, compared line by line (the config and summary lines count
+under ``config`` and ``summary``). Exits 1 if any output differs, else 0.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from pathlib import Path
 
 BENCH_GRAPHS = ("verify-grid", "verify-stiff", "kernel-mc")
 KERNEL_TIMES = "0.1,1,10"
+SUITE_RUNS = (("volume,harnack,gradient", "0.5,2"), ("all", "0,1"))  # (--suite, --t)
 
 
 def write_graphs(head: Path, work: Path) -> list:
@@ -78,6 +82,9 @@ def commands(graphs: list) -> list:
         if not graph.endswith(("verify-grid.json", "grid24.json")):
             out.append((f"`kernel --t {KERNEL_TIMES}` on {graph}",
                         ["kernel", "--graph", graph, "--t", KERNEL_TIMES], "csv"))
+            out += [(f"`verify --suite {suites} --t {times}` on {graph}",
+                     ["verify", "--graph", graph, "--suite", suites, "--t", times], "jsonl")
+                    for suites, times in SUITE_RUNS]
     return out
 
 
