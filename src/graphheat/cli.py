@@ -314,11 +314,11 @@ def _forked_parts(g, args, units, parts, workers, failure):
 def cmd_verify(args) -> int:
     g = args.loaded_graph
     names = args.suite.split(",")
-    if skip_gated := "all" in names:
-        names = list(SUITES)
-    if bad := [s for s in names if s not in SUITES]:
+    if bad := [s for s in names if s not in (*SUITES, "all")]:
         print(f"error: unknown suite(s) {bad}", file=sys.stderr)
         return 2
+    if skip_gated := "all" in names:
+        names = list(SUITES)
     try:
         g.constants()  # an edgeless graph has none
         # suite -> why it cannot run; only --suite all skips instead of failing
@@ -334,10 +334,10 @@ def cmd_verify(args) -> int:
         try:
             workers = _workers(g, units)
             if workers > 1:
-                # built before the forks only if two or more children read it, else where
-                # it is read: a run with one reader (verify-stiff) then peaks 0.6 MiB lower
+                # the compact hop counts, built before the forks only if two or more children
+                # read them, else where read: one reader (verify-stiff) then peaks 0.6 MiB lower
                 if sum(SUITES[suite].reads_hops for suite, _ in units) > 1:
-                    g.distance_matrix()
+                    g._hops
                 if out:
                     parts = [tempfile.TemporaryFile(dir=os.path.dirname(path) if path != out else None)
                              for _ in units]

@@ -19,7 +19,8 @@ import random
 import numpy as np
 
 from .calculus import gamma, laplacian, require_positive
-from .graph import GraphConstants, GraphFormatError, WeightedGraph, generate, uniforms
+from .graph import (GraphConstants, GraphFormatError, WeightedGraph, generate, reachable,
+                    uniforms)
 from .reports import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, concat, site_reports
 from .semigroup import check_time, evolve, heat_kernel
 
@@ -225,10 +226,10 @@ def independence_sweep(n_sites=10_000, seed=0):
 
 def _harnack_form(c: GraphConstants, hops, gap: float, u=1.0):
     """u exp{2 d_mu gap + (4 mu_max/w_min) hops^2/gap}, elementwise in hops
-    and u; +inf where the exponent or the product overflows a double."""
+    and u, hops^2 in float64; +inf where the exponent or product overflows."""
     with np.errstate(over="ignore"):
         return u * np.exp(2.0 * c.d_mu * gap
-                          + (4.0 * c.mu_max / c.w_min) * np.square(hops) / gap)
+                          + (4.0 * c.mu_max / c.w_min) * np.square(hops, dtype=float) / gap)
 
 
 def harnack_factor(g: WeightedGraph, x, y, t1: float, t2: float) -> float:
@@ -260,8 +261,7 @@ def _harnack_blocks(g, u0, time_grid, seed=0):
     times = sorted(set(map(check_time, time_grid)))
     if len(times) < 2:
         raise ValueError("need at least two distinct times")
-    c = g.constants()
-    D = g.distance_matrix()
+    c, H = g.constants(), g._hops
     snapshots = {t: _columns(evolve(g, u0, t, tol=HARNACK_SERIES_TOL))
                  for t in times}
     m = len(_columns(u0))
@@ -271,8 +271,7 @@ def _harnack_blocks(g, u0, time_grid, seed=0):
         rng = random.Random(seed)
         picks = [(uniforms(rng, 2 * HARNACK_MAX_PAIRS) * g.n).astype(np.intp).reshape(-1, 2).T
                  for _ in range(m)]
-    reachable = [np.isfinite(D[I, J]) for I, J in picks]
-    picks = [(I[f], J[f]) for (I, J), f in zip(picks, reachable)]
+    picks = [(I[f], J[f]) for I, J in picks for f in [reachable(H[I, J])]]
     gaps = [(t1, t2) for a, t1 in enumerate(times) for t2 in times[a + 1:]]
     for functions in _function_blocks(m, max((len(I) for I, _ in picks), default=0) * len(gaps)):
         # one site_reports call per block: a concat of per-gap records would
@@ -282,7 +281,7 @@ def _harnack_blocks(g, u0, time_grid, seed=0):
             "harnack", np.concatenate([_sites(g.ids[I], t1, g.ids[J], t2)
                                        for _, I, J, t1, t2 in block]),
             np.concatenate([snapshots[t1][k][I] for k, I, J, t1, t2 in block]),
-            np.concatenate([_harnack_form(c, D[I, J], t2 - t1, snapshots[t2][k][J])
+            np.concatenate([_harnack_form(c, H[I, J], t2 - t1, snapshots[t2][k][J])
                             for k, I, J, t1, t2 in block]))
 
 
@@ -341,8 +340,8 @@ def _kernel_upper(g, t, kernel, sources):
 
 
 def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
-    """(1/deg_y) exp{-2t - (4 mu_max/w_min) hops^2/t}, elementwise."""
-    expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * np.square(hops) / t
+    """(1/deg_y) exp{-2t - (4 mu_max/w_min) hops^2/t}, elementwise, hops^2 in float64."""
+    expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * np.square(hops, dtype=float) / t
     return np.exp(expo) / deg_y
 
 
@@ -363,12 +362,12 @@ def verify_kernel_lower(g: WeightedGraph, t: float, kernel=None):
 
 def _kernel_lower(g, t, kernel, sources):
     # verify_kernel_lower's rows from the sources range
-    D = g.distance_matrix()[sources]
-    reached = np.isfinite(D)  # the pairs checked, in row-major order
+    H = g._hops[sources]
+    reached = reachable(H)  # the pairs checked, in row-major order
     return site_reports("kernel_lower", _pair_sites(g.ids, t, sources,
                                                     None if reached.all() else reached),
-                        _kernel_lower_form(g.constants(), D[reached], t,
-                                           np.broadcast_to(g.degrees, D.shape)[reached]),
+                        _kernel_lower_form(g.constants(), H[reached], t,
+                                           np.broadcast_to(g.degrees, H.shape)[reached]),
                         kernel.matrix[sources][reached])
 
 

@@ -167,29 +167,30 @@ class WeightedGraph:
 
     @cached_property
     def _hops(self) -> np.ndarray:
-        # breadth-first search from all sources at once: each vertex has a bitset of
-        # the sources that reached it (uint64 words, bit s in byte s // 8), and a
-        # level ORs the frontier's bitsets over each vertex's in-edges
-        n, order = self.n, np.argsort(self.edges[1])
-        tails, heads = self.edges[0][order], self.edges[1][order]
-        starts = np.flatnonzero(np.diff(heads, prepend=-1))  # in-edges of each target
-        targets = heads[starts]
+        # all-pairs hop counts in hop_type(n), read-only, the type's max marking an
+        # unreachable pair. Breadth-first search to all targets at once: each vertex has
+        # a bitset of the targets it reaches (uint64 words, bit t in byte t // 8), and a
+        # level ORs the frontier's bitsets over each vertex's out-edges, in record order
+        n, (_, cols, _, ptr) = self.n, self.edges
+        sources = np.flatnonzero(np.diff(ptr))  # the vertices with out-edges
+        starts = ptr[sources]
         frontier = np.zeros((n, -(-n // 64)), np.uint64)
         frontier.view(np.uint8)[np.arange(n), np.arange(n) // 8] = 1 << np.arange(n) % 8
-        reached, D = frontier.copy(), np.full((n, n), np.inf)
-        np.fill_diagonal(D, 0.0)
-        for hops in range(1, n if len(tails) else 1):
-            new = np.bitwise_or.reduceat(frontier[tails], starts) & ~reached[targets]
+        kind = hop_type(n)
+        reached, H = frontier.copy(), np.full((n, n), np.iinfo(kind).max, kind)
+        np.fill_diagonal(H, 0)
+        for hops in range(1, n if len(cols) else 1):
+            new = np.bitwise_or.reduceat(frontier[cols], starts) & ~reached[sources]
             if not new.any():
                 break
             frontier[:] = 0
-            frontier[targets] = new
-            reached[targets] |= new
-            at, source = np.divmod(np.flatnonzero(np.unpackbits(
+            frontier[sources] = new
+            reached[sources] |= new
+            at, target = np.divmod(np.flatnonzero(np.unpackbits(
                 new.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)), n)
-            D[source, targets[at]] = hops
-        D.setflags(write=False)
-        return D
+            H[sources[at], target] = hops
+        H.setflags(write=False)
+        return H
 
     @cached_property
     def _jumps(self) -> np.ndarray:
@@ -220,19 +221,40 @@ class WeightedGraph:
     def dist(self, x, y) -> int:
         """Hop-count distance (minimum number of edges on a path x -> y)."""
         d = self._hops[self._resolve(x), self._resolve(y)]
-        if d == np.inf:
+        if not reachable(d):
             raise UnreachableError(f"no path from {x!r} to {y!r}")
         return int(d)
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs hop distances, read-only; unreachable pairs are +inf."""
-        return self._hops
+        """All-pairs hop distances as float64, read-only; unreachable pairs are
+        +inf. A copy of the compact hop counts, made on the first call."""
+        return self._distances
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        D = self._hops.astype(float)
+        D[~reachable(self._hops)] = np.inf
+        D.setflags(write=False)
+        return D
 
     def ball_volume(self, x, r: float) -> float:
         """mu-measure of the closed hop-distance ball {z : dist(x, z) <= r}."""
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r!r}")
-        return float(self.mu[self._hops[self._resolve(x)] <= r].sum())
+        # a reached z is at most n - 1 hops away, below the unreachable mark
+        within = self._hops[self._resolve(x)] <= math.floor(min(r, self.n - 1))
+        return float(self.mu[within].sum())
+
+
+def hop_type(n: int) -> type:
+    """uint16 for the hop counts of up to 65535 vertices (at most 65534 hops
+    apart), else uint32; the type's max marks an unreachable pair."""
+    return np.uint16 if n <= 0xFFFF else np.uint32
+
+
+def reachable(hops: np.ndarray) -> np.ndarray:
+    """Where compact hop counts join a pair: below their type's max."""
+    return hops != np.iinfo(hops.dtype).max
 
 
 # -- vertex functions ------------------------------------------------------

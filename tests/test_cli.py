@@ -142,6 +142,17 @@ def test_verify_unknown_suite(tmp_path):
     assert run(["verify", "--graph", graph, "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("names", ["all,bogus", "bogus,all"])
+def test_verify_unknown_suite_beside_all(tmp_path, capsys, names):
+    # a name is checked before "all" expands to every suite: an unknown one
+    # beside it exits 2 with one line, and no suite runs
+    out = tmp_path / "r.jsonl"
+    assert run(["verify", "--graph", ROOT / "example_graphs" / "edge_pair.json",
+                "--suite", names, "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: unknown suite(s) ['bogus']\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite", list(cli.SUITES))
 def test_suite_table_entry_is_what_verify_does(tmp_path, monkeypatch, capsys, suite):
     # each entry of cli.SUITES against the CLI's behaviour, so a new suite is
@@ -767,6 +778,32 @@ def test_verify_inline_and_pooled_write_the_same_bytes(tmp_path, monkeypatch, ca
     assert ("kernel-bounds: skipped" in written["inline", None][1]) == (not grid)
 
 
+def test_forked_verify_holds_no_float64_hop_matrix(tmp_path, monkeypatch, clean_exit):
+    # on a 16x16 grid the parent builds the uint16 hop counts once, before the
+    # first fork; every child reads that copy, and no process makes the float64
+    # distance matrix
+    _pooled(monkeypatch)
+    graph, seen = tmp_path / "grid16.json", tmp_path / "seen"
+    save_graph(graph, generate("grid", rows=16, cols=16, measure_mode="degree"))
+    seen.mkdir()
+
+    def hops_held(g):
+        return "_distances" in g.__dict__, g.__dict__.get("_hops", np.empty(0)).dtype.name
+    run_suite, fork_unit, at_fork = cli._run_suite, cli._fork_unit, []
+
+    def noted(g, suite, *args):
+        yield from run_suite(g, suite, *args)
+        (seen / f"{suite}-{os.getpid()}").write_text(repr(hops_held(g)))
+    monkeypatch.setattr(cli, "_run_suite", noted)
+    monkeypatch.setattr(cli, "_fork_unit", lambda g, *args: at_fork.append(
+        hops_held(g)) or fork_unit(g, *args))
+    assert run(["verify", "--graph", graph, "--suite", "all", "--out", tmp_path / "r.jsonl"]) == 0
+    assert at_fork == [(False, "uint16")] * (len(cli.SUITES) + 2)
+    held = {p.name.rsplit("-", 1)[0]: p.read_text() for p in seen.iterdir()}
+    assert sorted(held) == sorted(cli.SUITES) and len(list(seen.iterdir())) == len(at_fork)
+    assert set(held.values()) == {repr((False, "uint16"))}
+
+
 @pytest.mark.parametrize("n, forks", [(31, 0), (32, len(cli.SUITES) + 2)])
 def test_verify_forks_its_units_from_32_vertices(tmp_path, monkeypatch, capsys, clean_exit,
                                                  n, forks):
@@ -1022,7 +1059,8 @@ def test_verify_holds_one_source_block_at_a_time(tmp_path, monkeypatch, t):
     # sources at a time, so a kernel-bounds run's traced peak stays within a
     # fixed allowance: 1.25 times 5 n^2 doubles at t = 1 and 6 n^2 at t = 10,
     # where the series itself holds 4 n^2 (whole records of n^2 rows read 9.5
-    # and 16 n^2)
+    # and 16 n^2), less the 6 n^2 bytes a float64 hop matrix would hold beyond
+    # the uint16 one (t = 10 reads 1.21 of this allowance)
     _inline(monkeypatch)
     g = generate("grid", rows=16, cols=16, measure_mode="degree")
     graph = tmp_path / "grid16.json"
@@ -1040,7 +1078,7 @@ def test_verify_holds_one_source_block_at_a_time(tmp_path, monkeypatch, t):
         assert run(["verify", "--graph", graph, "--suite", "kernel-bounds", "--t", t,
                     "--out", tmp_path / "r.jsonl"]) == 0
     verify()  # warm-up: imports and first-call caches
-    allowance, whole = {"1": 5, "10": 6}[t] * 8 * g.n**2, peak(verify)
+    allowance, whole = {"1": 5, "10": 6}[t] * 8 * g.n**2 - 6 * g.n**2, peak(verify)
     assert whole <= 1.25 * allowance, (allowance, whole)
 
 

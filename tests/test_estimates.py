@@ -14,6 +14,7 @@ from graphheat import (HypothesisError, UnreachableError, WeightedGraph,
                        verify_diagonal_lower, verify_harnack,
                        verify_kernel_lower, verify_kernel_upper,
                        verify_volume_growth, volume_growth_bound)
+from graphheat.estimates import _harnack_form, _kernel_lower_form
 from graphheat.reports import concat
 
 
@@ -533,3 +534,22 @@ REJECTED = {
 def test_rejects_non_finite_and_out_of_domain_input(name):
     with pytest.raises(ValueError):
         REJECTED[name](_grid3())
+
+
+def test_hop_squares_are_float64_past_255_hops():
+    # on a 300-vertex mu = deg path hops reach 299, and a uint16 square wraps
+    # from 256 (256^2 = 0 mod 2^16): the forms and the scalar bounds square the
+    # compact counts as float64, so they give what float64 hops give
+    g = generate("path", n=300, measure_mode="degree")
+    c, H, D = g.constants(), g._hops, g.distance_matrix()
+    assert H.dtype == np.uint16 and H.max() == 299
+    assert not np.array_equal(np.square(H), np.square(D))
+    for s in (0.5, 40.0):
+        assert np.array_equal(_harnack_form(c, H, s), _harnack_form(c, D, s))
+        assert np.array_equal(_kernel_lower_form(c, H, s, g.degrees),
+                              _kernel_lower_form(c, D, s, g.degrees))
+    for y in ("v1", "v200", "v256", "v299"):
+        hops = D[0, g.index[y]]
+        assert harnack_factor(g, "v0", y, 1.0, 3.0) == _harnack_form(c, hops, 2.0)
+        assert (heat_kernel_lower_bound(g, 40.0, "v0", y)
+                == _kernel_lower_form(c, hops, 40.0, g.degree(y)))

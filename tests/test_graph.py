@@ -8,6 +8,7 @@ from conftest import k2, path3, random_graph
 from graphheat import (GraphFormatError, UnreachableError, WeightedGraph,
                        generate, graph_from_dict, graph_to_dict, load_graph,
                        save_graph)
+from graphheat.graph import hop_type
 
 
 def test_degree_single_edge():
@@ -77,6 +78,34 @@ def test_dist_unreachable():
                       [("a", "b", 1.0), ("c", "d", 1.0)], measure_mode="unit")
     with pytest.raises(UnreachableError):
         g.dist("a", "c")
+
+
+def test_two_components_stay_apart():
+    # the unreachable mark is never read as a hop count: a ball of any radius,
+    # +inf included, holds x's component alone, and the float64 copy reads +inf
+    g = WeightedGraph(["a", "b", "c", "d", "e"],
+                      [("a", "b", 1.0), ("c", "d", 1.0), ("d", "e", 1.0)],
+                      mu=[1.0, 2.0, 4.0, 8.0, 16.0])
+    for r in (2, 65535, 1e9, math.inf):
+        assert g.ball_volume("a", r) == 3.0 and g.ball_volume("e", r) == 28.0
+    assert g.ball_volume("c", 0.5) == 4.0 and g.dist("c", "e") == 2
+    with pytest.raises(UnreachableError):
+        g.dist("b", "e")
+    D = g.distance_matrix()
+    assert D.dtype == np.float64 and not D.flags.writeable
+    assert np.array_equal(D, [[0, 1, math.inf, math.inf, math.inf],
+                              [1, 0, math.inf, math.inf, math.inf],
+                              [math.inf, math.inf, 0, 1, 2],
+                              [math.inf, math.inf, 1, 0, 1],
+                              [math.inf, math.inf, 2, 1, 0]])
+
+
+def test_hop_type_holds_every_count_below_its_max():
+    # n vertices are at most n - 1 hops apart, below the type's max, the
+    # unreachable mark: uint16 up to 65535 vertices, uint32 from 65536
+    assert hop_type(1) is hop_type(0xFFFF) is np.uint16
+    assert hop_type(0x10000) is hop_type(10**6) is np.uint32
+    assert generate("path", n=3)._hops.dtype == np.uint16
 
 
 def test_dist_is_metric_on_component():

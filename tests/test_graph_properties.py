@@ -3,6 +3,7 @@ random graphs: disconnected, asymmetric and edgeless ones included."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from conftest import dense_weights
 from graphheat import (GraphFormatError, UnreachableError, WeightedGraph,
                        graph_from_dict, graph_to_dict)
+from graphheat import graph as graph_module
 
 
 @st.composite
@@ -101,15 +103,36 @@ def _plain_hops(n, arcs):
 @example(_unit_graph(130, {(i, i + 1) for i in range(129)}, False))  # a one-way path
 @example(_unit_graph(130, {(i, i + 1) for i in range(129) if i != 64}, True))
 def test_hop_distances_match_a_plain_bfs(case):
+    # the compact counts are uint16, 65535 where no path runs; the float64
+    # copy has +inf there
     g, arcs = case
-    assert np.array_equal(g.distance_matrix(), _plain_hops(g.n, arcs))
+    D = _plain_hops(g.n, arcs)
+    assert g._hops.dtype == np.uint16
+    assert np.array_equal(g._hops, np.where(np.isinf(D), 0xFFFF, D))
+    assert np.array_equal(g.distance_matrix(), D)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_hop_counts_of_large_graphs_are_uint32(monkeypatch, symmetric):
+    # the search and its readers on the type of graphs of 65536 vertices or
+    # more, tried on a 130-vertex path cut after v64
+    monkeypatch.setattr(graph_module, "hop_type", lambda n: np.uint32)
+    g, arcs = _unit_graph(130, {(i, i + 1) for i in range(129) if i != 64}, symmetric)
+    D = _plain_hops(g.n, arcs)
+    assert g._hops.dtype == np.uint32
+    assert np.array_equal(g._hops, np.where(np.isinf(D), 2**32 - 1, D))
+    assert np.array_equal(g.distance_matrix(), D)
+    assert g.ball_volume("v0", math.inf) == 65 and g.dist("v0", "v64") == 64
+    with pytest.raises(UnreachableError):
+        g.dist("v0", "v65")
 
 
 @settings(max_examples=50, deadline=None)
 @given(graphs())
 def test_derived_data_is_read_only(g):
-    with pytest.raises(ValueError):
-        g.distance_matrix()[0, 0] = 1.0
+    for hops in (g.distance_matrix(), g._hops):
+        with pytest.raises(ValueError):
+            hops[0, 0] = 1
     rows, cols, w, ptr = g.edges
     for a in (*g.edges, g.degrees, g.mu, g.rates):
         with pytest.raises(ValueError):

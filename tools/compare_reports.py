@@ -10,11 +10,13 @@ for the report file, stdout, stderr and the exit code, ``identical`` or
 
 The inputs come from HEAD_TREE: its example graphs, the seed-0
 ``verify-grid``, ``verify-stiff`` and ``kernel-mc`` graphs that
-``perfbench/run.py``'s ``make_graph`` builds, and a 24x24 grid with mu = deg
+``perfbench/run.py``'s ``make_graph`` builds, a 24x24 grid with mu = deg
 from HEAD_TREE's ``generate`` (576 vertices: the kernel bounds are checked
-in blocks of 14 sources, the last of 2). On each graph but the
-``kernel-mc`` one, ``verify --suite all`` runs with JSONL and with CSV
-output; on the example graphs and the ``verify-stiff`` graph (where lam t
+in blocks of 14 sources, the last of 2), a 300-vertex path with mu = deg
+(hops reach 299, past the 255 whose square a uint16 still holds) and a
+two-component graph with mu = deg (a 5-vertex path and a 4-cycle). On each
+graph but the ``kernel-mc`` one, ``verify --suite all`` runs with JSONL and
+with CSV output; on the example graphs and the ``verify-stiff`` graph (where lam t
 reaches 2e4, on the scaling-and-squaring route), ``kernel --t 0.1,1,10``
 dumps the series kernel, and two JSONL runs exercise the suite table:
 ``verify --suite volume,harnack,gradient --t 0.5,2`` (a list not in report
@@ -41,6 +43,8 @@ from itertools import zip_longest
 from pathlib import Path
 
 BENCH_GRAPHS = ("verify-grid", "verify-stiff", "kernel-mc")
+# graphs compared under verify --suite all alone
+VERIFY_ONLY = ("verify-grid.json", "grid24.json", "path300.json", "two-components.json")
 KERNEL_TIMES = "0.1,1,10"
 SUITE_RUNS = (("volume,harnack,gradient", "0.5,2"), ("all", "0,1"))  # (--suite, --t)
 
@@ -59,11 +63,20 @@ def write_graphs(head: Path, work: Path) -> list:
     for workload in BENCH_GRAPHS:
         names.append(f"graphs/{workload}.json")
         (work / names[-1]).write_text(json.dumps(make_graph(workload, 0)))
-    names.append("graphs/grid24.json")
-    subprocess.run([sys.executable, "-m", "graphheat.cli", "generate", "--family", "grid",
-                    "--rows", "24", "--cols", "24", "--measure", "degree", "--out", names[-1]],
-                   cwd=work, env=dict(os.environ, PYTHONPATH=str(head / "src")),
-                   check=True, capture_output=True)
+    for name, family in (("grid24", ["grid", "--rows", "24", "--cols", "24"]),
+                         ("path300", ["path", "--n", "300"])):
+        names.append(f"graphs/{name}.json")
+        subprocess.run([sys.executable, "-m", "graphheat.cli", "generate", "--family", *family,
+                        "--measure", "degree", "--out", names[-1]],
+                       cwd=work, env=dict(os.environ, PYTHONPATH=str(head / "src")),
+                       check=True, capture_output=True)
+    names.append("graphs/two-components.json")
+    ends = [(f"p{i}", f"p{i + 1}") for i in range(4)] + [(f"c{i}", f"c{(i + 1) % 4}")
+                                                         for i in range(4)]
+    (work / names[-1]).write_text(json.dumps({
+        "weights_symmetric": True, "measure_mode": "degree",
+        "vertices": [{"id": v} for v in sorted({v for pair in ends for v in pair})],
+        "edges": [{"u": u, "v": v, "w": 1.0} for u, v in ends]}))
     return names
 
 
@@ -79,7 +92,7 @@ def commands(graphs: list) -> list:
             out.append((f"`verify --suite all --format {fmt}` on {graph}",
                         ["verify", "--graph", graph, "--suite", "all", "--format", fmt],
                         suffix))
-        if not graph.endswith(("verify-grid.json", "grid24.json")):
+        if not graph.endswith(VERIFY_ONLY):
             out.append((f"`kernel --t {KERNEL_TIMES}` on {graph}",
                         ["kernel", "--graph", graph, "--t", KERNEL_TIMES], "csv"))
             out += [(f"`verify --suite {suites} --t {times}` on {graph}",
