@@ -186,9 +186,10 @@ class WeightedGraph:
             frontier[:] = 0
             frontier[sources] = new
             reached[sources] |= new
-            at, target = np.divmod(np.flatnonzero(np.unpackbits(
-                new.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)), n)
-            H[sources[at], target] = hops
+            for b in range(0, len(sources), step := max(1, (1 << 20) // n)):  # ~1 MiB of bools
+                at, target = np.divmod(np.flatnonzero(np.unpackbits(new[b:b + step].view(
+                    np.uint8), axis=1, count=n, bitorder="little").view(bool)), n)
+                H[sources[b + at], target] = hops
         H.setflags(write=False)
         return H
 

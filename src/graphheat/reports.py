@@ -9,7 +9,8 @@ import operator
 import os
 import shutil
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from functools import partial
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -147,131 +148,114 @@ _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json
 
 
 def _texts(text):
-    """texts(col): text(v) of each value v of an object column, a str's memoized for
-    the whole write (keyed by str only, as keys 0.0 == -0.0 and 1 == 1.0 == True),
-    any other value's made once per object per chunk."""
+    """column(col): (col, slot) of an object column, one row if all hold one
+    object; slot(s), text(v) of each row s's value v: a str's memoized (keyed by
+    str only: 0.0 == -0.0, 1 == 1.0 == True), any other's once per chunk."""
     memo = {}
 
-    def texts(col):
-        values = col.tolist()
+    def texts(values):
         try:
-            return list(map(memo.__getitem__, values))
+            return operator.itemgetter(*values)(memo) if len(values) > 1 else [memo[values[0]]]
         except (KeyError, TypeError):  # a str not seen yet, or not a str
-            objs = dict(zip(map(id, values), values))
+            starts = [0, *compress(count(1), map(operator.is_not, values[1:], values))]
+            objs = dict(zip(map(id, heads := [values[i] for i in starts]), heads))
             memo.update((v, text(v)) for v in objs.values() if type(v) is str and v not in memo)
             out = {i: memo[v] if type(v) is str else text(v) for i, v in objs.items()}
-            return list(map(out.__getitem__, map(id, values)))
-    return texts
+            return np.repeat(np.array(list(map(out.__getitem__, map(id, heads))), object),
+                             np.diff(starts + [len(values)])).tolist()
+
+    def column(col):
+        col = col[:1] if _same(col) else col
+        return col, lambda s: texts(col[s].tolist())
+    return column
+
+
+def _same(col) -> bool:
+    # whether every row holds the first row's number (by bit pattern) or object:
+    # an object column's strided sample first, so one that varies is seldom read whole
+    if col.dtype != object:
+        bits = col.view(f"i{col.itemsize}")
+        return bool((bits == bits[0]).all())
+    return not col.strides[0] or all(all(map(operator.is_, c.tolist(), repeat(col[0])))
+                                     for c in (col[::max(1, len(col) // 64)], col))
 
 
 VOCABULARY_FLOATS = 1 << 18  # float texts kept for later records: 8 MiB as bytes
 
 
-class _Vocabulary:
-    """reprs(floats) with a memory of the texts made for records that share
-    floats: a float whose bit pattern one of them held is looked up, not
-    formatted again. The first VOCABULARY_FLOATS texts are kept, as ASCII
-    bytes, from a record that shares_floats through the first that does not."""
+def _vocabulary(reprs):
+    """slots(floats, r): (column, slot) of each float column of record r, as for
+    _texts, by reprs: one sort of r's patterns; those kept, repeated or to keep
+    in a table for r, any other made in its chunk. The texts made for records that
+    share_floats are kept, up to VOCABULARY_FLOATS, until one does not."""
+    runs = []  # (bit patterns, texts), disjoint
 
-    def __init__(self, reprs):
-        self.reprs = reprs
-        self.keys, self.texts = np.empty(0, np.int64), np.empty(0, "S24")  # a float text has <= 24
-        self.made = None  # (bit patterns, texts) made for a sharing record being written
-
-    def __call__(self, floats):
-        bits = floats.view(np.int64)
-        at = np.minimum(self.keys.searchsorted(bits), len(self.keys) - 1)
-        known = self.keys[at] == bits if len(self.keys) else np.zeros(len(bits), bool)
-        out = np.empty(len(bits), object)
-        out[known] = list(map(bytes.decode, self.texts[at[known]].tolist()))
-        if not known.all():
-            out[~known] = made = self.reprs(floats[~known])
-            if self.made is not None:
-                self.made.append((bits[~known], np.array(made, "S24")))
-        return out
-
-    def write(self, r, write):
-        """write(r); then the texts made for r join the vocabulary if
-        r.shares_floats, else every text is forgotten."""
-        self.made = [] if r.shares_floats and len(self.keys) < VOCABULARY_FLOATS else None
-        write(r)
+    def slots(floats, r):
+        floats = [f[:1] if _same(f) else f for f in floats]
+        keys, counts = np.unique(np.concatenate([f.view(np.int64) for f in floats]),
+                                 return_counts=True)
+        table, new = np.empty(len(keys), object), np.ones(len(keys), bool)
+        for known, texts in runs:
+            i = np.minimum(known.searchsorted(keys), len(known) - 1)
+            new[hit := np.flatnonzero(known[i] == keys)] = False
+            table[hit] = list(map(bytes.decode, texts[i[hit]].tolist()))
+        now = new & ((counts > 1) | r.shares_floats)
+        now[0] = new[0]  # so that some pattern has a text
+        table[now] = made = reprs(keys[now].view(float))
         if not r.shares_floats:
-            self.keys, self.texts = np.empty(0, np.int64), np.empty(0, "S24")
-        elif self.made:
-            keys, first = np.unique(np.concatenate([k for k, _ in self.made]), return_index=True)
-            room = VOCABULARY_FLOATS - len(self.keys)
-            keys, texts = keys[:room], np.concatenate([t for _, t in self.made])[first[:room]]
-            at = self.keys.searchsorted(keys)
-            self.keys, self.texts = np.insert(self.keys, at, keys), np.insert(self.texts, at, texts)
-        self.made = None
+            runs.clear()
+        elif made and (room := VOCABULARY_FLOATS - sum(len(k) for k, _ in runs)) > 0:
+            runs.append((keys[now][:room], np.array(made[:room], "S24")))  # a text has <= 24
+            while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+                (known, texts), (k, t) = runs[-2:]
+                i = known.searchsorted(k)
+                runs[-2:] = [(np.insert(known, i, k), np.insert(texts, i, t))]
+        keys, table = keys[new <= now], table[new <= now]  # those with a text
 
-
-def _floats(cols, reprs):
-    """texts(col) of a record's float columns: a bit pattern that occurs more than once
-    over all of them (or is 0.0, so the table is never empty) is formatted once by
-    reprs and found by searchsorted, any other in its chunk."""
-    keys = [np.zeros(2, np.int64)]
-    for c in cols:  # the unique keys of each column, and twice those it repeats
-        k, n = np.unique(c.view(np.int64), return_counts=True)
-        keys += [k, k[n > 1]]
-    keys, n = np.unique(np.concatenate(keys), return_counts=True)
-    keys = keys[n > 1]  # listed more than once
-    table = reprs(keys.view(float))
-
-    def texts(col):
-        at = np.minimum(keys.searchsorted(bits := col.view(np.int64)), len(keys) - 1)
-        out, new = table[at], keys[at] != bits
-        if new.any():
-            out[new] = reprs(col[new])
-        return out.tolist()
-    return texts
-
-
-def _same(col) -> bool:
-    # whether every row holds the first row's object, or a number's bit pattern
-    if col.dtype == object:
-        return not col.strides[0] or all(map(operator.is_, col.tolist(), repeat(col[0])))
-    bits = col.view(f"i{col.itemsize}")
-    return bool((bits == bits[0]).all())
+        def slot(f, at, s):
+            out = table[at := at[s]]
+            if not (hit := keys[at] == f[s].view(np.int64)).all():
+                out[~hit] = reprs(f[s][~hit])
+            return out.tolist()
+        return [(f, partial(slot, f, np.minimum(keys.searchsorted(f.view(np.int64)),
+                                                len(keys) - 1).astype(np.int32))) for f in floats]
+    return slots
 
 
 def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=None) -> dict:
-    """Write each record's rows by one template and return summarize(reports),
-    folded while the rows are written: keys[i] precedes field i and end ends a
-    row; check, site, passed and extra (if given, written before end) give a
-    column's texts, and listed(k) the (start, separator, stop, texts) of a list
-    site of k positions; reprs(floats) the texts of floats, called through one
-    _Vocabulary for the write. A column whose rows all hold one object, or one
-    float bit pattern, is text of the template; each other column fills a slot,
-    CHUNK_ROWS rows at a time, before a chunk's join."""
-    vocabulary = _Vocabulary(reprs)
-
-    def piece(col, texts):
-        return texts(col[:1])[0] if _same(col) else (texts, col)
+    """Write each record's rows by one template and return summarize(reports):
+    keys[i] precedes field i, end ends a row; check, site, passed and listed(k)'s
+    texts (a list site's start, separator, stop, texts) are _texts columns, and
+    extra(col) the extra column's pieces: texts, and (column, _texts or None)."""
+    slots = _vocabulary(reprs)
 
     def write(r):
-        values = [np.asarray(f, float) for f in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)]
-        floats = _floats([f for f in values if not _same(f)], vocabulary)
         if r.site.ndim == 2:
             start, sep, stop, texts = listed(r.site.shape[1])
-            sites = [start, *[x for p in r.site.T for x in (sep, piece(p, texts))][1:], stop]
+            sites = [start, *[x for p in r.site.T for x in (sep, (p, texts))][1:], stop]
         else:
-            sites = [piece(r.site, site)]
-        fields = [[piece(r.check, check)], sites, *([piece(f, floats)] for f in values[:3]),
-                  [piece(r.passed, passed)], *([piece(f, floats)] for f in values[3:])]
+            sites = [(r.site, site)]
+        f = [[(np.asarray(c, float), None)] for c in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)]
+        fields = [[(r.check, check)], sites, *f[:3], [(r.passed, passed)], *f[3:]]
+        pieces = [x for key, items in zip(keys, fields) for x in (key, *items)]
+        pieces += [*(extra(r.extra) if extra else []), end]
+        floats = iter(slots([f for f, texts in (x for x in pieces if not isinstance(x, str))
+                             if texts is None], r))
         row = [""]  # text, slot, text, ..., slot, text
-        for x in [x for key, items in zip(keys, fields) for x in (key, *items)] + (
-                [piece(r.extra, extra)] if extra else []) + [end]:
-            if isinstance(x, str):
-                row[-1] += x
-            else:
-                row += [x, ""]
+        for x in pieces:
+            if not isinstance(x, str):
+                col, slot = next(floats) if x[1] is None else x[1](x[0])
+                if len(col) > 1:
+                    row += [slot, ""]
+                    continue
+                x = slot(slice(1))[0]
+            row[-1] += x
         for i in range(0, len(r), CHUNK_ROWS):
             rows = row * min(CHUNK_ROWS, len(r) - i)
             for j in range(1, len(row), 2):
-                texts, col = row[j]
-                rows[j::len(row)] = texts(col[i:i + CHUNK_ROWS])
-            fh.write("".join(rows))
+                rows[j::len(row)] = row[j](slice(i, min(i + CHUNK_ROWS, len(r))))
+            rows = "".join(rows)  # the list let go before the text is encoded
+            fh.write(rows)
 
     summary = {}
     for r in _tally(reports, summary):
@@ -279,7 +263,7 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
             fh.flush()
             _append(fh.fileno(), r.file.fileno())
         elif len(r):
-            vocabulary.write(r, write)
+            write(r)
         del r  # let go of a record before the next one is made
     return summary
 
@@ -329,10 +313,25 @@ def write_jsonl_rows(fh, reports) -> dict:
     summarize(reports), folded while the rows are written. The bytes are those
     of one json.dumps per line."""
     dumps = _texts(json.dumps)
+    extras = _texts(lambda e: f', "extra": {json.dumps(e)}' if e else "")
+
+    def extra(col):
+        # dicts of one tuple of str keys make a template, no dict dumped on its own:
+        # a key's values are a float column if all are floats, else an object column
+        es = col.tolist() if col.strides[0] else [None]
+        names = tuple(es[0]) if type(es[0]) is dict else ()
+        if not (names and all(type(k) is str for k in names)
+                and all(type(e) is dict and tuple(e) == names for e in es)):
+            return [(col, extras)]
+        pieces = [', "extra": {']
+        for name, values in zip(names, zip(*map(dict.values, es))):
+            floats = all(type(v) is float for v in values)
+            pieces += [f"{json.dumps(name)}: ", (np.fromiter(values, float if floats else object),
+                                                  None if floats else dumps), ", "]
+        return pieces[:-1] + ["}"]
     keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
     return _write(fh, reports, keys, "}\n", dumps, dumps, lambda k: ("[", ", ", "]", dumps), dumps,
-                  _json_floats,
-                  _texts(lambda e: f', "extra": {json.dumps(e)}' if e else ""))
+                  _json_floats, extra)
 
 
 def write_jsonl(path, reports, config) -> dict:

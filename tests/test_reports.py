@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from graphheat import cli, generate, reports as reports_module, save_graph
+from graphheat import cli, estimates, generate, reports as reports_module, save_graph
+from graphheat.semigroup import heat_kernel
 from graphheat.reports import (CHUNK_ROWS, FIELDS, Part, Reports, all_pass, concat,
                                merge_summary, open_report, site_reports, summarize,
                                write_csv, write_csv_rows, write_jsonl, write_jsonl_rows)
@@ -357,18 +359,37 @@ def _column(draw, n, values, dtype, pool=POOL):
 
 
 def _objects(draw, n, values):
-    # n values, or one object n times
-    return [draw(values)] * n if draw(st.booleans()) else draw(
-        st.lists(values, min_size=n, max_size=n))
+    # n values, one object n times, or a few objects each row takes one of, as
+    # a list site's time position does
+    how = draw(st.sampled_from(["any", "one", "few"]))
+    if how == "one":
+        return [draw(values)] * n
+    if how == "few":
+        few = draw(st.lists(values, min_size=1, max_size=3))
+        return [few[i] for i in draw(st.lists(st.integers(0, len(few) - 1), min_size=n,
+                                              max_size=n))]
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+def _extras(draw, n):
+    # any extras, or a dict of one tuple of keys in every row: a key's values
+    # may all be floats
+    if draw(st.booleans()):
+        return _column(draw, n, EXTRAS, object)
+    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    columns = [draw(st.lists(draw(st.sampled_from([FLOATS, POOL, ATOMS])), min_size=n, max_size=n))
+               for _ in keys]
+    return np.fromiter((dict(zip(keys, values)) for values in zip(*columns)), object, n)
 
 
 @st.composite
 def records(draw, lengths):
     """A Reports record whose sites are a 1-d array of any values or lists,
     or a (rows, positions) array whose positions each hold values of one
-    kind; a site position may hold one object in every row, and the other
-    columns may repeat a few values or be broadcasts. Its rows may all pass
-    or all fail, and it may share its floats with the records after it."""
+    kind; a site position may hold one object in every row or a few shared
+    objects, and the other columns may repeat a few values or be broadcasts.
+    Its extras may be dicts of one tuple of keys. Its rows may all pass or all
+    fail, and it may share its floats with the records after it."""
     n = draw(lengths)
     k = draw(st.none() | st.integers(0, 3))
     if k is None:
@@ -387,7 +408,7 @@ def records(draw, lengths):
                      for _ in range(2))
         lhs, rhs = (-low, high) if verdict else (high + 1.0, -low)
         abs_tol = rel_tol = np.zeros(n)
-    record = Reports(check, sites, lhs, rhs, abs_tol, rel_tol, _column(draw, n, EXTRAS, object))
+    record = Reports(check, sites, lhs, rhs, abs_tol, rel_tol, _extras(draw, n))
     record.shares_floats = draw(st.booleans())  # a writer reuses its float texts after it
     return record
 
@@ -419,8 +440,13 @@ def test_writers_match_one_json_dumps_per_row_at_the_chunk_size(tmp_path, n):
     lists = site_reports("b", [[f"v{i % 7}", (0.0, -0.0, i * 0.5)[i % 3], "w"]
                                for i in range(n)], np.nan, rows / 3.0)
     empty = site_reports("c", [[] for _ in range(n)], rows * 0.5, 1.0)
+    # harnack's [x, t1, y, t2] with a few shared times, and dicts of one key set
+    t1, t2 = 0.5, 2.0
+    times = site_reports("h", [[f"x{i % 7}", (t1, t2)[i % 2], f"y{i % 5}", t2] for i in range(n)],
+                         rows * 0.25, 1.0, extras=[{"tighter": ("current", "prior")[i % 2],
+                                                    "rel": i / 7.0, "f": -0.0} for i in range(n)])
     assert lists.site.shape == (n, 3) and empty.site.shape == (n, 0)
-    recs = [mixed, lists, empty]
+    recs = [mixed, lists, empty, times]
     _assert_writers_match_oracle(tmp_path, recs, {})
 
 
@@ -474,6 +500,58 @@ def test_writers_fold_pass_columns_and_share_floats(tmp_path):
             _assert_writers_match_oracle(tmp_path, [passing, failing, mixed], {})
     lines = (tmp_path / "got.jsonl").read_text().splitlines()[1:-1]
     assert "".join(line.split('"pass": ')[1][0] for line in lines) == "tttttffffftttff"
+
+
+def _count_formatted(monkeypatch):
+    # the bit patterns of the floats the JSON writer formats, call by call
+    formatted, json_floats = [], reports_module._json_floats
+
+    def counted(floats):
+        formatted.append(floats.view(np.int64).copy())
+        return json_floats(floats)
+    monkeypatch.setattr(reports_module, "_json_floats", counted)
+    return formatted
+
+
+def _float_bits(records):
+    return np.concatenate([np.asarray(c, float).view(np.int64) for r in records
+                           for c in (r.lhs, r.rhs, r.slack, r.abs_tol, r.rel_tol)])
+
+
+def test_writer_formats_each_float_of_a_kernel_once(monkeypatch):
+    # counted, not timed: each bit pattern of one kernel's records (its source
+    # blocks, then its diagonal) is formatted once while the vocabulary has
+    # room; small blocks and chunks make 17 records of many chunks
+    g = generate("grid", rows=6, cols=6, measure_mode="degree")
+    monkeypatch.setattr(estimates, "BLOCK_ROWS", 5 * g.n)
+    monkeypatch.setattr(reports_module, "CHUNK_ROWS", 7)
+    formatted = _count_formatted(monkeypatch)
+    for t in (0.1, 1.0, 10.0):
+        kernel = heat_kernel(g, t)
+        records = [*estimates._kernel_blocks(g, t, kernel),
+                   estimates.verify_diagonal_lower(g, t, kernel=kernel)]
+        assert len(records) == 17
+        formatted.clear()
+        write_jsonl_rows(io.StringIO(), records)
+        bits = np.concatenate(formatted)
+        assert np.array_equal(np.sort(bits), np.unique(_float_bits(records))), t
+
+
+def test_writer_formats_each_float_of_a_function_record_once(monkeypatch):
+    # counted, not timed: a function block's record, written alone, has each
+    # distinct bit pattern of its floats (extras' included) formatted once,
+    # whether it repeats in the record or not
+    g = generate("grid", rows=6, cols=6, measure_mode="degree")
+    monkeypatch.setattr(reports_module, "CHUNK_ROWS", 7)
+    formatted = _count_formatted(monkeypatch)
+    for suite in ("harnack", "heat-gradient", "previous"):
+        for r in cli._run_suite(g, suite, [0.1, 1.0], 0, 1e-12, 4):
+            formatted.clear()
+            write_jsonl_rows(io.StringIO(), [r])
+            extra = [np.array([v for e in r.extra.tolist() for v in (e or {}).values()
+                               if type(v) is float]).view(np.int64)]
+            assert np.array_equal(np.sort(np.concatenate(formatted)),
+                                  np.unique(np.concatenate([_float_bits([r]), *extra]))), suite
 
 
 @pytest.mark.parametrize("graph", sorted((ROOT / "example_graphs").glob("*.json"))
