@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import gc
 import math
 import os
 import pickle
@@ -372,6 +372,32 @@ def cmd_verify(args) -> int:
 
 # -- kernel --------------------------------------------------------------------
 
+# float texts _float_texts keeps beyond one array's, about 140 bytes each with its
+# key (0.28 MiB): a 24x24 or 32x32 mu = deg grid's kernel at t = 1 has 1051 distinct values
+FLOAT_TEXTS = 1 << 11
+
+
+def _float_texts():
+    """texts(a): repr of each float of the array a, memoized by bit pattern (so
+    0.0 and -0.0, and each NaN, keep their own texts); the memo is emptied when it
+    holds FLOAT_TEXTS texts and a value is new."""
+    memo = {}
+
+    def texts(a):
+        bits = a.view(np.int64).tolist()
+        try:
+            return list(map(memo.__getitem__, bits))
+        except KeyError:  # some value is new: those found are kept, the others made
+            out, values = list(map(memo.get, bits)), a.tolist()
+            if len(memo) >= FLOAT_TEXTS:
+                memo.clear()
+            for i, text in enumerate(out):
+                if text is None:
+                    out[i] = memo[bits[i]] = repr(values[i])
+            return out
+    return texts
+
+
 def cmd_kernel(args) -> int:
     from statistics import NormalDist  # only here: it loads decimal and fractions
     g = args.loaded_graph
@@ -380,25 +406,25 @@ def cmd_kernel(args) -> int:
     z = NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
     consistent = True
     header = ["t", "x", "y", "p"] + ["p_hat", "half_width", "n_walks", "seed"] * bool(args.mc)
-    # each source's rows are written as they are made
+    ids = list(map(reports._csv_field, g.ids))  # each id as csv.writer quotes it
+    # each source's rows are written as they are made, in csv.writer's bytes
     with _Staged(args.out) as (_, path), reports.open_report(path) \
             if path else contextlib.nullcontext(sys.stdout) as out:
-        w = csv.writer(out)
-        w.writerow(header)
+        out.write(",".join(header) + "\r\n")
         for t in args.times:
-            kernel = semigroup.heat_kernel(g, t, tol=args.tol)
+            kernel, texts = semigroup.heat_kernel(g, t, tol=args.tol), _float_texts()
             for i, x in enumerate(g.ids):
-                p = kernel.matrix[i].tolist()
+                start, p = f"{t!r},{ids[i]},", texts(kernel.matrix[i])
                 if not args.mc:
-                    w.writerows([t, x, y, p[j]] for j, y in enumerate(g.ids))
+                    out.write("".join([f"{start}{y},{a}\r\n" for y, a in zip(ids, p)]))
                     continue
                 sub_seed = args.seed ^ zlib.crc32(f"{t}:{x}".encode())
                 est = walk.simulate(g, x, t, args.mc, seed=sub_seed)
                 flags = est.consistent_with(kernel.matrix[i], n_sigma=z)
                 consistent = consistent and bool(flags.all())
-                p_hat, hw = est.p_hat.tolist(), est.half_width.tolist()
-                w.writerows([t, x, y, p[j], p_hat[j], hw[j], args.mc, sub_seed]
-                            for j, y in enumerate(g.ids))
+                end = f",{args.mc},{sub_seed}\r\n"
+                out.write("".join([f"{start}{y},{a},{b},{c}{end}" for y, a, b, c in
+                                   zip(ids, p, texts(est.p_hat), texts(est.half_width))]))
     if args.mc:
         verdict = "consistent" if consistent else "INCONSISTENT"
         print(f"monte-carlo vs series: {verdict} (family-wise alpha "
@@ -456,6 +482,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if argv is None:  # the process is ours: later collections, forked units and the
+        gc.freeze()  # teardown leave the startup heap alone; an in-process caller's is kept
     try:
         return args.func(args)
     except OSError as exc:  # e.g. an unwritable --out

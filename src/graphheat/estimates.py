@@ -380,6 +380,7 @@ def _kernel_blocks(g, t, kernel):
             r = record(g, t, kernel, sources)
             r.shares_floats = True
             yield r
+            del r  # let go of a record before the next one is made
 
 
 def verify_diagonal_lower(g: WeightedGraph, t: float, kernel=None):

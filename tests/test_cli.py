@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -11,12 +12,14 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 import weakref
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import stiff_path, two_grids
 from graphheat import (WeightedGraph, cli, estimates, generate, heat_kernel, load_graph,
@@ -266,6 +269,91 @@ def test_kernel_monte_carlo_csv_is_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _kernel_csv(g, times, mc, seed):
+    # the bytes of kernel's CSV as csv.writer writes them, one row at a time
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t", "x", "y", "p"] + ["p_hat", "half_width", "n_walks", "seed"] * bool(mc))
+    for t in times:
+        kernel = cli.semigroup.heat_kernel(g, t)
+        for i, x in enumerate(g.ids):
+            p = kernel.matrix[i].tolist()
+            if not mc:
+                w.writerows([t, x, y, p[j]] for j, y in enumerate(g.ids))
+                continue
+            sub_seed = seed ^ zlib.crc32(f"{t}:{x}".encode())
+            est = walk.simulate(g, x, t, mc, seed=sub_seed)
+            p_hat, hw = est.p_hat.tolist(), est.half_width.tolist()
+            w.writerows([t, x, y, p[j], p_hat[j], hw[j], mc, sub_seed]
+                        for j, y in enumerate(g.ids))
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("mc", [0, 40])
+def test_kernel_csv_is_csv_writers(tmp_path, monkeypatch, mc):
+    # kernel joins its rows from texts made once (each id quoted once, each float
+    # repr'd once per bit pattern); the bytes are csv.writer's, for ids it quotes
+    # (a comma, a double quote, a newline) or leaves bare (a leading space, a
+    # non-ASCII letter, the empty id) and for p values of -0.0 beside 0.0, a
+    # subnormal, inf and NaNs of both signs
+    ids = ["a,b", 'say "hi"', " lead", "two\nlines", "été", ""]
+    g = WeightedGraph(ids, [(u, v, 1.0) for u, v in zip(ids, ids[1:])], measure_mode="degree")
+    series = cli.semigroup.heat_kernel
+
+    def odd_kernel(g, t, tol=None):
+        m = series(g, t).matrix.copy()
+        m[0] = [-0.0, 0.0, 5e-324, math.inf, math.nan, -math.nan]
+        m[1, 0] = m[2, 2] = -0.0
+        return types.SimpleNamespace(matrix=m)
+    monkeypatch.setattr(cli.semigroup, "heat_kernel", odd_kernel)
+    graph, out = tmp_path / "g.json", tmp_path / "k.csv"
+    save_graph(graph, g)
+    code = run(["kernel", "--graph", graph, "--t", "0.5,2", "--mc", mc, "--seed", 5, "--out", out])
+    assert code == (1 if mc else 0)  # a NaN p is never consistent with the walks
+    assert out.read_bytes() == _kernel_csv(load_graph(graph), (0.5, 2.0), mc, 5)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_kernel_csv_is_csv_writers_on_small_graphs(tmp_path, data):
+    ids = data.draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+                             min_size=1, max_size=5, unique=True))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=len(edges),
+                                 max_size=len(edges)))
+    times = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 4.0]), min_size=1, max_size=2,
+                               unique=True))
+    mc = data.draw(st.sampled_from([0, 7]))
+    graph, out = tmp_path / "g.json", tmp_path / "k.csv"
+    save_graph(graph, WeightedGraph(ids, [(u, v, w) for (u, v), w in zip(edges, weights)],
+                                    measure_mode="unit"))
+    run(["kernel", "--graph", graph, "--t", ",".join(map(str, times)), "--mc", mc,
+         "--out", out])
+    assert out.read_bytes() == _kernel_csv(load_graph(graph), times, mc, 0)
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    # main freezes the startup heap only when it owns the process (no argv);
+    # a caller that passes argv keeps its collector as it was
+    before = gc.get_freeze_count()
+    assert run(["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json",
+                "--out", tmp_path / "k.csv"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_main_without_argv_freezes_the_startup_heap(tmp_path):
+    # as python -m graphheat.cli and the console script call it
+    argv = ["graphheat", "kernel", "--graph", str(ROOT / "example_graphs" / "grid3x3.json"),
+            "--out", str(tmp_path / "k.csv")]
+    script = (f"import gc, sys; from graphheat import cli; sys.argv = {argv!r}; "
+              "code = cli.main(); print(code, gc.get_freeze_count())")
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split()
+    assert out[0] == "0" and int(out[1]) > 0
+
+
 def test_shipped_example_graphs_verify():
     for path in sorted((ROOT / "example_graphs").glob("*.json")):
         assert run(["verify", "--graph", path, "--suite", "all",
@@ -464,23 +552,23 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-class _CrashingCsv:
-    # csv.writer's stand-in: writes the header, then dies among the rows
-    @staticmethod
-    def writer(fh):
-        class Writer:
-            def writerow(self, row):
-                fh.write(",".join(row) + "\r\n")
-
-            def writerows(self, rows):
-                raise RuntimeError("crashed while writing rows")
-        return Writer()
-
-
 def test_crashed_kernel_leaves_out_as_it_found_it(tmp_path, monkeypatch):
     # kernel used to open --out only after its work and die with it half
-    # written; it now writes a staged sibling that replaces --out at the end
-    monkeypatch.setattr(cli, "csv", _CrashingCsv)
+    # written; it now writes a staged sibling that replaces --out at the end.
+    # Here the row texts die at the second source, after the header and the
+    # first source's rows are written
+    make_texts = cli._float_texts
+
+    def crashing_texts():
+        texts, calls = make_texts(), []
+
+        def crash_second(a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise RuntimeError("crashed while writing rows")
+            return texts(a)
+        return crash_second
+    monkeypatch.setattr(cli, "_float_texts", crashing_texts)
     argv = ["kernel", "--graph", ROOT / "example_graphs" / "grid3x3.json"]
     out = tmp_path / "k.csv"
     with pytest.raises(RuntimeError):
@@ -1206,6 +1294,27 @@ for argv in (["generate", "--family", "random", "--n", "20", "--p", "0.3", "--wm
 
 class _Traced(reports.Reports):
     __slots__ = ("__weakref__",)
+
+
+def test_kernel_blocks_let_go_of_each_record_before_the_next(monkeypatch):
+    # _kernel_blocks held the block it last yielded while it made the next,
+    # so two records of up to BLOCK_ROWS rows were alive at once
+    made = []
+
+    def record(g, t, kernel, sources):
+        assert [ref() for ref in made if ref() is not None] == []
+        r = reports.site_reports("kernel_x", list(g.ids[sources]), 0.0, 1.0)
+        r = _Traced(r.check, r.site, r.lhs, r.rhs, r.abs_tol, r.rel_tol, r.extra)
+        made.append(weakref.ref(r))
+        return r
+    monkeypatch.setattr(estimates, "_kernel_upper", record)
+    monkeypatch.setattr(estimates, "_kernel_lower", record)
+    monkeypatch.setattr(estimates, "BLOCK_ROWS", 18)  # 2 of grid3x3's 9 sources a block
+    g = load_graph(ROOT / "example_graphs" / "grid3x3.json")
+    for r in estimates._kernel_blocks(g, 1.0, None):
+        assert r.shares_floats
+        del r
+    assert len(made) == 2 * 5
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", None])

@@ -13,16 +13,21 @@ The inputs come from HEAD_TREE: its example graphs, the seed-0
 ``perfbench/run.py``'s ``make_graph`` builds, a 24x24 grid with mu = deg
 from HEAD_TREE's ``generate`` (576 vertices: the kernel bounds are checked
 in blocks of 14 sources, the last of 2), a 300-vertex path with mu = deg
-(hops reach 299, past the 255 whose square a uint16 still holds) and a
-two-component graph with mu = deg (a 5-vertex path and a 4-cycle). On each
-graph but the ``kernel-mc`` one, ``verify --suite all`` runs with JSONL and
-with CSV output; on the example graphs and the ``verify-stiff`` graph (where lam t
-reaches 2e4, on the scaling-and-squaring route), ``kernel --t 0.1,1,10``
-dumps the series kernel, and two JSONL runs exercise the suite table:
-``verify --suite volume,harnack,gradient --t 0.5,2`` (a list not in report
-order; on ``verify-stiff`` volume's hypothesis exits 2) and ``verify --suite
-all --t 0,1`` (harnack skipped, and on ``verify-stiff`` kernel-bounds and
-volume too); on the ``kernel-mc`` graph, ``kernel --t 1 --mc 300`` runs.
+(hops reach 299, past the 255 whose square a uint16 still holds), a
+two-component graph with mu = deg (a 5-vertex path and a 4-cycle) and a
+6-cycle with a chord, mu = deg, whose ids CSV output must quote (a comma, a
+double quote, a newline) or leave bare (a leading space, a non-ASCII
+letter). On each graph but the ``kernel-mc`` and quoted-ids ones,
+``verify --suite all`` runs with JSONL and with CSV output; on the example
+graphs and the ``verify-stiff`` graph (where lam t reaches 2e4, on the
+scaling-and-squaring route), ``kernel --t 0.1,1,10`` dumps the series
+kernel, and two JSONL runs exercise the suite table: ``verify --suite
+volume,harnack,gradient --t 0.5,2`` (a list not in report order; on
+``verify-stiff`` volume's hypothesis exits 2) and ``verify --suite all --t
+0,1`` (harnack skipped, and on ``verify-stiff`` kernel-bounds and volume
+too); on the ``kernel-mc`` graph, ``kernel --t 1 --mc 300`` runs, and on
+the quoted-ids graph ``kernel --t 0.1,1``, ``kernel --t 1 --mc 300`` and
+``verify --suite all --format csv``.
 Below the table, each JSONL report that differs gets the number of differing
 lines per check, compared line by line (the config and summary lines count
 under ``config`` and ``summary``). Exits 1 if any output differs, else 0.
@@ -47,6 +52,12 @@ BENCH_GRAPHS = ("verify-grid", "verify-stiff", "kernel-mc")
 VERIFY_ONLY = ("verify-grid.json", "grid24.json", "path300.json", "two-components.json")
 KERNEL_TIMES = "0.1,1,10"
 SUITE_RUNS = (("volume,harnack,gradient", "0.5,2"), ("all", "0,1"))  # (--suite, --t)
+# ids that CSV output quotes (a comma, a double quote, a newline) or leaves bare
+QUOTED_IDS = ["a,b", 'say "hi"', " lead", "two\nlines", "été", "plain"]
+# graphs compared under these CSV runs alone (the command, then its flags)
+OWN_RUNS = {"kernel-mc.json": [("kernel", "--t", "1", "--mc", "300")],
+            "quoted-ids.json": [("kernel", "--t", "0.1,1"), ("kernel", "--t", "1", "--mc", "300"),
+                                ("verify", "--suite", "all", "--format", "csv")]}
 
 
 def write_graphs(head: Path, work: Path) -> list:
@@ -70,13 +81,15 @@ def write_graphs(head: Path, work: Path) -> list:
                         "--measure", "degree", "--out", names[-1]],
                        cwd=work, env=dict(os.environ, PYTHONPATH=str(head / "src")),
                        check=True, capture_output=True)
-    names.append("graphs/two-components.json")
-    ends = [(f"p{i}", f"p{i + 1}") for i in range(4)] + [(f"c{i}", f"c{(i + 1) % 4}")
-                                                         for i in range(4)]
-    (work / names[-1]).write_text(json.dumps({
-        "weights_symmetric": True, "measure_mode": "degree",
-        "vertices": [{"id": v} for v in sorted({v for pair in ends for v in pair})],
-        "edges": [{"u": u, "v": v, "w": 1.0} for u, v in ends]}))
+    ring = list(zip(QUOTED_IDS, QUOTED_IDS[1:] + QUOTED_IDS[:1]))
+    for name, ends in (("two-components", [(f"p{i}", f"p{i + 1}") for i in range(4)]
+                        + [(f"c{i}", f"c{(i + 1) % 4}") for i in range(4)]),
+                       ("quoted-ids", ring + [(QUOTED_IDS[0], QUOTED_IDS[3])])):
+        names.append(f"graphs/{name}.json")
+        (work / names[-1]).write_text(json.dumps({
+            "weights_symmetric": True, "measure_mode": "degree",
+            "vertices": [{"id": v} for v in sorted({v for pair in ends for v in pair})],
+            "edges": [{"u": u, "v": v, "w": 1.0} for u, v in ends]}))
     return names
 
 
@@ -84,9 +97,9 @@ def commands(graphs: list) -> list:
     """(label, argv after the program, report suffix) of each comparison."""
     out = []
     for graph in graphs:
-        if graph.endswith("kernel-mc.json"):
-            out.append((f"`kernel --t 1 --mc 300` on {graph}",
-                        ["kernel", "--graph", graph, "--t", "1", "--mc", "300"], "csv"))
+        if runs := OWN_RUNS.get(Path(graph).name):
+            out += [(f"`{' '.join(flags)}` on {graph}", [flags[0], "--graph", graph, *flags[1:]],
+                     "csv") for flags in runs]
             continue
         for fmt, suffix in (("json", "jsonl"), ("csv", "csv")):
             out.append((f"`verify --suite all --format {fmt}` on {graph}",
