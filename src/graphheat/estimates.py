@@ -68,19 +68,13 @@ def _sites(*positions):
     return np.column_stack(np.broadcast_arrays(*(np.asarray(p, object) for p in positions)))
 
 
-def _pair_sites(ids, t, sources=slice(None), mask=None):
+def _pair_sites(ids, t, sources, mask):
     """(pairs, 3) object array of the sites [x, y, t] of the pairs from each id
-    x of the sources range to every id y, or of the pairs where the
-    (sources, n) mask holds, in row-major order; t is one shared object.
-    Filled column by column, with no temporary of the pairs beyond the mask's
-    selection of one column."""
-    xs = ids[sources]
-    if mask is None:
-        sites = np.empty((len(xs), len(ids), 3), object)
-        sites[:, :, 0], sites[:, :, 1], sites[:, :, 2] = xs[:, None], ids, t
-        return sites.reshape(-1, 3)
+    x of the sources range to every id y where the (sources, n) mask holds, in
+    row-major order; t is one shared object. Filled column by column, with no
+    temporary of the pairs beyond the mask's selection of one column."""
     sites = np.empty((np.count_nonzero(mask), 3), object)
-    for k, column in enumerate((xs[:, None], ids)):
+    for k, column in enumerate((ids[sources][:, None], ids)):
         sites[:, k] = np.broadcast_to(column, mask.shape)[mask]
     sites[:, 2] = t
     return sites
@@ -166,11 +160,9 @@ def prior_gradient_estimate(g: WeightedGraph, u):
     rhs = rhs + math.sqrt(c.d) * c.d_mu + math.sqrt(c.d_mu)
     rel_prior = (rhs - lhs) / np.maximum(np.abs(rhs), 1e-300)
     rel_cur = (c.d_mu - cur_lhs) / max(abs(c.d_mu), 1e-300)
-    extras = [{"tighter": "current" if cur < prior else "prior",
-               "rel_slack_current": cur, "rel_slack_prior": prior}
-              for cur, prior in zip(rel_cur.tolist(), rel_prior.tolist())]
-    return site_reports("prior_gradient_estimate", np.tile(g.ids, len(_columns(u))),
-                        lhs, rhs, extras=extras)
+    return site_reports("prior_gradient_estimate", np.tile(g.ids, len(_columns(u))), lhs, rhs,
+                        extras={"tighter": np.where(rel_cur < rel_prior, "current", "prior"),
+                                "rel_slack_current": rel_cur, "rel_slack_prior": rel_prior})
 
 
 def _log_uniform(rng: random.Random, k: int, top: float) -> np.ndarray:
@@ -211,13 +203,12 @@ def independence_sweep(n_sites=10_000, seed=0):
             continue
         u = sample_positive_function(g, rng)
         reps = prior_gradient_estimate(g, u)
-        for site, extra in zip(reps.site, reps.extra):
-            which = extra["tighter"]
+        for i, which in enumerate(reps.extra["tighter"].tolist()):
             tally[which] += 1
             if which not in witnesses:
                 witnesses[which] = {"graph_seed": gseed, "n": n,
-                                    "measure_mode": mode, "vertex": site,
-                                    **extra}
+                                    "measure_mode": mode, "vertex": reps.site[i],
+                                    **{k: col.item(i) for k, col in reps.extra.items()}}
         sites += len(reps)
     return {"sites": sites, "tally": tally, "witnesses": witnesses}
 
@@ -335,13 +326,16 @@ def verify_kernel_upper(g: WeightedGraph, t: float, kernel=None):
 def _kernel_upper(g, t, kernel, sources):
     # verify_kernel_upper's rows from the sources range
     bound = [heat_kernel_upper_bound(g, t, x) for x in g.ids[sources]]
-    return site_reports("kernel_upper", _pair_sites(g.ids, t, sources),
+    every = np.broadcast_to(True, (len(bound), g.n))  # every pair is checked
+    return site_reports("kernel_upper", _pair_sites(g.ids, t, sources, every),
                         kernel.matrix[sources].ravel(), np.repeat(bound, g.n))
 
 
 def _kernel_lower_form(c: GraphConstants, hops, t: float, deg_y):
-    """(1/deg_y) exp{-2t - (4 mu_max/w_min) hops^2/t}, elementwise, hops^2 in float64."""
-    expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * np.square(hops, dtype=float) / t
+    """(1/deg_y) exp{-2t - (4 mu_max/w_min) hops^2/t}, elementwise, hops^2 in
+    float64; 0 where hops^2/t overflows (a subnormal t)."""
+    with np.errstate(over="ignore"):
+        expo = -2.0 * t - (4.0 * c.mu_max / c.w_min) * np.square(hops, dtype=float) / t
     return np.exp(expo) / deg_y
 
 
@@ -364,8 +358,7 @@ def _kernel_lower(g, t, kernel, sources):
     # verify_kernel_lower's rows from the sources range
     H = g._hops[sources]
     reached = reachable(H)  # the pairs checked, in row-major order
-    return site_reports("kernel_lower", _pair_sites(g.ids, t, sources,
-                                                    None if reached.all() else reached),
+    return site_reports("kernel_lower", _pair_sites(g.ids, t, sources, reached),
                         _kernel_lower_form(g.constants(), H[reached], t,
                                            np.broadcast_to(g.degrees, H.shape)[reached]),
                         kernel.matrix[sources][reached])
@@ -422,5 +415,5 @@ def verify_volume_growth(g: WeightedGraph, times):
         strong = lhs <= g.degrees * factor * (1.0 + DEFAULT_REL_TOL) + DEFAULT_ABS_TOL
         parts.append(site_reports(
             "volume_growth", _sites(g.ids, t), lhs, rhs,
-            extras=[{"degree_variant_holds": s} for s in strong.tolist()]))
+            extras={"degree_variant_holds": strong}))
     return concat(parts)

@@ -24,8 +24,9 @@ FIELDS = ("check", "site", "lhs", "rhs", "slack", "pass", "abs_tol", "rel_tol")
 @dataclass(slots=True, eq=False)
 class Reports:
     """Verified inequalities lhs <= rhs, one row per site, as equal-length
-    columns: float arrays lhs, rhs, abs_tol, rel_tol and object arrays check,
-    extra (a dict or None) and site, 1-d or (rows, positions) for list sites.
+    columns: float arrays lhs, rhs, abs_tol, rel_tol, object arrays check and
+    site (1-d, or (rows, positions) for list sites), and extra: named columns,
+    float64 or objects, of what a check notes beside the sides (often none).
     A row passes when slack = rhs - lhs >= -(abs_tol + rel_tol * |rhs|); slack
     and passed are computed once, when the record is made. shares_floats, if
     set, says that the records after it repeat its float values, as a
@@ -38,7 +39,7 @@ class Reports:
     rhs: np.ndarray
     abs_tol: np.ndarray
     rel_tol: np.ndarray
-    extra: np.ndarray
+    extra: dict
     slack: np.ndarray = field(init=False)
     passed: np.ndarray = field(init=False)
     shares_floats: bool = field(init=False, default=False)
@@ -55,29 +56,34 @@ def site_reports(check, sites, lhs, rhs, abs_tol=DEFAULT_ABS_TOL,
                  rel_tol=DEFAULT_REL_TOL, extras=None) -> Reports:
     """One row per site from 1-d arrays of the two sides.
 
-    A scalar side or tolerance, the check name and extras=None become
-    read-only zero-stride views of a copy of their one value; an owning float
-    array of one value per site is adopted, and any other side copied. A side
-    or extras list whose length differs from the number of sites raises
-    ValueError.
+    extras maps a name to one scalar per site, or to one scalar for all: a
+    float array stays a float64 column, and any other values become objects.
+    A scalar side, tolerance or extra and the check name become read-only
+    zero-stride views of a copy of their one value; an owning column of one
+    value per site is adopted, and any other copied. A side or extra whose
+    length differs from the number of sites raises ValueError.
     """
-    sites = np.asarray(sites, dtype=object)
+    sites, extras = np.asarray(sites, dtype=object), extras or {}
     n = len(sites)
-    extras = np.array(None) if extras is None else np.fromiter(extras, dtype=object)
-    if extras.shape not in ((), (n,)):
-        raise ValueError(f"{len(extras)} extras for {n} sites")
     cols = [np.asarray(col, dtype=float) for col in (lhs, rhs, abs_tol, rel_tol)]
-    check, *cols, extras = (
-        np.broadcast_to(c.copy(), (n,)) if c.ndim == 0 else c if c.shape == (n,) and c.base is None
-        else np.broadcast_to(c, (n,)).copy() for c in (np.array(check, object), *cols, extras))
-    return Reports(check, sites, *cols, extras)
+    cols += [np.asarray(v, float if isinstance(v, np.ndarray) and v.dtype.kind == "f" else object)
+             for v in extras.values()]
+    if any(col.shape not in ((), (n,)) for col in cols):
+        raise ValueError(f"columns of shapes {[col.shape for col in cols]} for {n} sites")
+    check, *cols = (np.broadcast_to(c.copy(), (n,)) if c.ndim == 0 else c if c.base is None
+                    else c.copy() for c in (np.array(check, object), *cols))
+    return Reports(check, sites, *cols[:4], dict(zip(extras, cols[4:])))
 
 
 def concat(parts) -> Reports:
-    """The rows of several Reports of one site layout, in order, as one."""
+    """The rows of several Reports of one site layout and one list of extra
+    names, in order, as one; records that differ in either raise ValueError."""
     parts = list(parts) or [site_reports("", [], [], [])]
+    if len(names := {tuple(p.extra) for p in parts}) > 1:
+        raise ValueError(f"records of different extra names: {sorted(names)}")
     return Reports(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(Reports) if f.init))
+                     for f in fields(Reports) if f.init and f.name != "extra"),
+                   {k: np.concatenate([p.extra[k] for p in parts]) for k in parts[0].extra})
 
 
 @dataclass(slots=True, eq=False)
@@ -226,7 +232,7 @@ def _write(fh, reports, keys, end, check, site, listed, passed, reprs, extra=Non
     """Write each record's rows by one template and return summarize(reports):
     keys[i] precedes field i, end ends a row; check, site, passed and listed(k)'s
     texts (a list site's start, separator, stop, texts) are _texts columns, and
-    extra(col) the extra column's pieces: texts, and (column, _texts or None)."""
+    extra(cols) the extra columns' pieces: texts, and (column, _texts or None)."""
     slots = _vocabulary(reprs)
 
     def write(r):
@@ -313,22 +319,14 @@ def write_jsonl_rows(fh, reports) -> dict:
     summarize(reports), folded while the rows are written. The bytes are those
     of one json.dumps per line."""
     dumps = _texts(json.dumps)
-    extras = _texts(lambda e: f', "extra": {json.dumps(e)}' if e else "")
 
-    def extra(col):
-        # dicts of one tuple of str keys make a template, no dict dumped on its own:
-        # a key's values are a float column if all are floats, else an object column
-        es = col.tolist() if col.strides[0] else [None]
-        names = tuple(es[0]) if type(es[0]) is dict else ()
-        if not (names and all(type(k) is str for k in names)
-                and all(type(e) is dict and tuple(e) == names for e in es)):
-            return [(col, extras)]
+    def extra(cols):
+        # the named columns as one object's fields, a float one by the record's float texts
         pieces = [', "extra": {']
-        for name, values in zip(names, zip(*map(dict.values, es))):
-            floats = all(type(v) is float for v in values)
-            pieces += [f"{json.dumps(name)}: ", (np.fromiter(values, float if floats else object),
-                                                  None if floats else dumps), ", "]
-        return pieces[:-1] + ["}"]
+        for i, (name, col) in enumerate(cols.items()):
+            pieces += [f'{", " if i else ""}{json.dumps(name)}: ',
+                       (col, None if col.dtype == float else dumps)]
+        return pieces + ["}"] if cols else []
     keys = [f'{", " if i else "{"}{json.dumps(f)}: ' for i, f in enumerate(FIELDS)]
     return _write(fh, reports, keys, "}\n", dumps, dumps, lambda k: ("[", ", ", "]", dumps), dumps,
                   _json_floats, extra)

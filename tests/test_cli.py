@@ -922,6 +922,18 @@ def test_verify_harnack_overflow_is_silent(tmp_path):
     assert "harnack: 60000/60000 pass" in proc.stdout
 
 
+def test_verify_kernel_bounds_at_a_subnormal_time_are_silent(tmp_path):
+    # at t = 1e-320 the kernel lower bound's hops^2 / t overflows to inf, and
+    # the bound is 0; a passing run says so on no stream
+    proc = subprocess.run([sys.executable, "-m", "graphheat.cli", "verify", "--graph",
+                           str(ROOT / "example_graphs" / "grid3x3.json"), "--suite",
+                           "kernel-bounds", "--t", "1e-320", "--out", str(tmp_path / "r.jsonl")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "kernel_lower: 81/81 pass" in proc.stdout
+
+
 @pytest.mark.parametrize("graph_name, times, forked", [
     ("grid3x3", "20000", False),
     ("path3-wmin1e-4", None, False),
@@ -1172,8 +1184,10 @@ def test_verify_holds_one_source_block_at_a_time(tmp_path, monkeypatch, t):
 
 def _assert_same_record(got, want):
     # the same rows, bit for bit
-    for name in ("check", "site", "extra"):
+    for name in ("check", "site"):
         assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert [(k, c.tolist()) for k, c in got.extra.items()] == \
+        [(k, c.tolist()) for k, c in want.extra.items()]
     for name in ("lhs", "rhs", "abs_tol", "rel_tol", "slack", "passed"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_independence_witnesses_both_directions():
     assert set(res["witnesses"]) == {"current", "prior"}
 
 
+def test_independence_sweep_is_pinned():
+    # the tallies and both witnesses of one sweep, key order and value types
+    # included; the slacks to 1e-12, since numpy's SIMD exp (the sampled
+    # functions) may differ in the last bits from one CPU to another
+    res = independence_sweep(n_sites=2000, seed=1)
+    assert res["sites"] == 2001
+    assert res["tally"] == {"current": 430, "prior": 1571}
+    want = {"current": {"graph_seed": 2444712010, "n": 6, "measure_mode": "degree",
+                        "vertex": "v0", "tighter": "current",
+                        "rel_slack_current": 0.038256343455096875,
+                        "rel_slack_prior": 0.047403297590742785},
+            "prior": {"graph_seed": 2444712010, "n": 6, "measure_mode": "degree",
+                      "vertex": "v2", "tighter": "prior",
+                      "rel_slack_current": 1.211453372121837,
+                      "rel_slack_prior": 0.5996844824181603}}
+    assert list(res["witnesses"]) == list(want)
+    for which, witness in want.items():
+        got = res["witnesses"][which]
+        assert list(got) == list(witness)
+        assert [type(v) for v in got.values()] == [type(v) for v in witness.values()]
+        assert got == pytest.approx(witness, rel=1e-12, abs=0)
+
+
 # -- Harnack ---------------------------------------------------------------------
 
 def test_harnack_factor_same_vertex():
@@ -215,8 +239,12 @@ def test_batch_equals_its_columns():
         cols = list(U.T)
         for verify in (gradient_estimate, prior_gradient_estimate):
             batch, single = verify(g, U), concat(verify(g, u) for u in cols)
-            for name in ("check", "site", "extra"):
+            for name in ("check", "site"):
                 assert getattr(batch, name).tolist() == getattr(single, name).tolist()
+            assert list(batch.extra) == list(single.extra)
+            for name, col in batch.extra.items():
+                assert col.dtype == single.extra[name].dtype, name
+                assert col.tolist() == single.extra[name].tolist(), name
             for name in ("lhs", "rhs", "abs_tol", "rel_tol"):
                 assert getattr(batch, name).tobytes() == getattr(single, name).tobytes()
         times = [0.0, 1e-7, 0.1, 1.0]
@@ -308,6 +336,16 @@ def test_kernel_lower_bound_diagonal_consistency():
     assert K.value("v0", "v0") >= math.exp(-t) / g.degree("v0") >= diag_bound
 
 
+def test_kernel_lower_bound_at_a_subnormal_time_is_zero():
+    # hops^2 / t overflows at t = 1e-320: the exponent is -inf and the bound 0,
+    # with no warning
+    g = generate("grid", rows=3, cols=3, measure_mode="degree")
+    x, y = g.ids[:2].tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert heat_kernel_lower_bound(g, 1e-320, x, y) == 0.0
+
+
 def test_kernel_lower_bound_requires_mu_deg():
     g = k2(mu=(2.0, 1.0))
     with pytest.raises(HypothesisError):
@@ -380,7 +418,9 @@ def test_volume_growth_sweep():
     for g in graphs:
         reps = verify_volume_growth(g, [1.0, 4.0, 9.0, 25.0])
         assert all_pass(reps)
-        assert all("degree_variant_holds" in e for e in reps.extra)
+        assert list(reps.extra) == ["degree_variant_holds"]
+        holds = reps.extra["degree_variant_holds"]
+        assert len(holds) == len(reps) and {type(v) for v in holds} <= {bool}
 
 
 def test_volume_growth_hypothesis_gating():

@@ -130,18 +130,29 @@ def test_site_reports_broadcasts_scalars_and_keeps_floats():
     assert reports.rhs.tolist() == [1.0] * 3
     assert reports.abs_tol.tolist() == [0.0] * 3
     assert reports.rel_tol.tolist() == [0.5] * 3
-    assert reports.extra.tolist() == [None] * 3
+    assert reports.extra == {}
     # scalar columns are read-only zero-stride views of a value of their own
-    rhs, abs_tol = np.array(1.0), np.zeros(())
-    shared = site_reports("c", ["x", "y", "z"], lhs, rhs, abs_tol)
-    for name in ("check", "rhs", "abs_tol", "rel_tol", "extra"):
-        col = getattr(shared, name)
+    rhs, abs_tol, weight = np.array(1.0), np.zeros(()), np.array(0.5)
+    shared = site_reports("c", ["x", "y", "z"], lhs, rhs, abs_tol,
+                          extras={"note": "s", "weight": weight})
+    assert shared.extra["note"].dtype == object and shared.extra["weight"].dtype == float
+    columns = {name: getattr(shared, name) for name in ("check", "rhs", "abs_tol", "rel_tol")}
+    for name, col in {**columns, **shared.extra}.items():
         assert col.shape == (3,) and col.strides == (0,) and not col.flags.writeable, name
-        assert not any(np.shares_memory(col, a) for a in (lhs, rhs, abs_tol)), name
+        assert not any(np.shares_memory(col, a) for a in (lhs, rhs, abs_tol, weight)), name
+    # a float array stays float64, and any other values become objects, each
+    # as json.dumps spells it
+    fresh = np.array([0.25, -0.0])
     tagged = site_reports("c", [0, 1], 0.0, [1.0, 2.0],
-                          extras=[{"k": 1}, {"k": 2}])
+                          extras={"k": [1, 2], "mixed": [1, 2.5], "holds": np.array([True, False]),
+                                  "f": fresh})
     assert tagged.rhs.tolist() == [1.0, 2.0]
-    assert tagged.extra.tolist() == [{"k": 1}, {"k": 2}]
+    assert list(tagged.extra) == ["k", "mixed", "holds", "f"]
+    assert tagged.extra["k"].tolist() == [1, 2]
+    assert [type(v) for v in tagged.extra["mixed"].tolist()] == [int, float]
+    assert tagged.extra["holds"].dtype == object
+    assert [type(v) for v in tagged.extra["holds"]] == [bool, bool]
+    assert tagged.extra["f"] is fresh  # an owning float column is adopted
 
 
 def test_site_reports_copies_views_and_adopts_fresh_arrays():
@@ -155,28 +166,38 @@ def test_site_reports_copies_views_and_adopts_fresh_arrays():
 
 
 @pytest.mark.parametrize("lhs, extras", [([1.0, 2.0], None),
-                                         (0.0, [{}, {}])])
+                                         (0.0, {"k": [1, 2]}),
+                                         ([1.0], None),
+                                         (0.0, {"k": [1]})])
 def test_site_reports_rejects_length_mismatch(lhs, extras):
     with pytest.raises(ValueError):
         site_reports("c", ["x", "y", "z"], lhs, 1.0, extras=extras)
 
 
-def test_concat_keeps_row_order_and_fills_missing_extra():
-    both = concat([site_reports("a", ["x"], 0.0, 1.0),
+def test_concat_keeps_row_order_and_rejects_mixed_extra_names():
+    both = concat([site_reports("a", ["x"], 0.0, 1.0, extras={"k": 0}),
                    site_reports("b", ["y", "z"], [1.0, 2.0], 3.0, 0.0, 0.0,
-                                extras=[{"k": 1}, {"k": 2}])])
+                                extras={"k": [1, 2]})])
     assert both.check.tolist() == ["a", "b", "b"]
     assert both.site.tolist() == ["x", "y", "z"]
     assert both.lhs.tolist() == [0.0, 1.0, 2.0]
     assert both.abs_tol.tolist() == [1e-10, 0.0, 0.0]
-    assert both.extra.tolist() == [None, {"k": 1}, {"k": 2}]
+    assert list(both.extra) == ["k"] and both.extra["k"].tolist() == [0, 1, 2]
     assert len(concat([])) == 0
+    # records whose extra names differ, in any way, are not joined
+    for extras in [None, {"j": [1, 2]}, {"k": [1, 2], "j": [1, 2]}]:
+        with pytest.raises(ValueError, match="extra names"):
+            concat([site_reports("a", ["x"], 0.0, 1.0, extras={"k": 0}),
+                    site_reports("b", ["y", "z"], [1.0, 2.0], 3.0, extras=extras)])
+    with pytest.raises(ValueError, match="extra names"):
+        concat([site_reports("a", ["x"], 0.0, 1.0, extras={"k": 0, "j": 1}),
+                site_reports("b", ["y"], 1.0, 3.0, extras={"j": 1, "k": 0})])
 
 
 def _sample():
     return [site_reports("a", [["x", 0.5]], 0.25, 1.0),
             site_reports("b", ["y"], 2.0, 1.0, abs_tol=0.0, rel_tol=0.0,
-                         extras=[{"note": True}])]
+                         extras={"note": [True]})]
 
 
 def test_write_jsonl_layout(tmp_path):
@@ -195,11 +216,11 @@ def test_write_jsonl_layout(tmp_path):
     ]
     assert all(list(obj)[:len(FIELDS)] == list(FIELDS) for obj in lines[1:-1])
     assert lines[-1] == {"summary": summarize(reports)}
-    # records of one site layout, and one record holding their rows, write the
-    # same bytes
+    # records of one site layout and one list of extra names, and one record
+    # holding their rows, write the same bytes
     for sites in ([["x", 0.5]], [["y", 1.5]]), (["x"], ["y"]):
-        same = [site_reports("a", sites[0], 0.25, 1.0),
-                site_reports("b", sites[1], 2.0, 1.0, extras=[{"note": True}])]
+        same = [site_reports("a", sites[0], 0.25, 1.0, extras={"note": [False]}),
+                site_reports("b", sites[1], 2.0, 1.0, extras={"note": True})]
         two, one = tmp_path / "two.jsonl", tmp_path / "one.jsonl"
         write_jsonl(two, same, config)
         write_jsonl(one, concat(same), config)
@@ -266,7 +287,7 @@ def test_open_report_truncates_only_a_file_that_holds_bytes(tmp_path, monkeypatc
 
 
 def test_concat_rejects_records_of_different_site_layouts():
-    listed, bare = _sample()
+    listed, bare = site_reports("a", [["x", 0.5]], 0.25, 1.0), site_reports("b", ["y"], 2.0, 1.0)
     assert listed.site.shape == (1, 2) and bare.site.shape == (1,)
     longer = site_reports("a", [["x", 0.5, "z"]], 0.25, 1.0)
     for parts in ([listed, bare], [bare, listed], [listed, longer]):
@@ -290,11 +311,15 @@ def test_csv_header_is_json_key_order(tmp_path):
 # -- the writers against one json.dumps per row ------------------------------
 
 def _oracle_rows(records):
-    # each row's values in FIELDS order, then its extra
+    # each row's values in FIELDS order, then its extra: a dict of the row's
+    # value of each extra column, or None where the record has none
     for r in records:
+        extras = ([dict(zip(r.extra, values))
+                   for values in zip(*(col.tolist() for col in r.extra.values()))]
+                  if r.extra else [None] * len(r))
         yield from zip(r.check.tolist(), r.site.tolist(), r.lhs.tolist(),
                        r.rhs.tolist(), r.slack.tolist(), r.passed.tolist(),
-                       r.abs_tol.tolist(), r.rel_tol.tolist(), r.extra.tolist())
+                       r.abs_tol.tolist(), r.rel_tol.tolist(), extras)
 
 
 def oracle_jsonl(path, records, config):
@@ -339,7 +364,6 @@ SPECIAL_CHARS = '"\\/\x00\x1f\x7f\n\té\u2028\U0001F600'  # escaped by json, or 
 TEXT = st.text(st.sampled_from(SPECIAL_CHARS) | st.characters(), max_size=5)
 MIXED = st.sampled_from([1, 1.0, True, 0.0, -0.0])
 ATOMS = TEXT | st.integers() | st.booleans() | FLOATS | MIXED
-EXTRAS = st.none() | st.just({}) | st.dictionaries(TEXT, ATOMS, max_size=2)
 
 
 # a few floats, so that a column drawn from them repeats values across chunks
@@ -372,14 +396,11 @@ def _objects(draw, n, values):
 
 
 def _extras(draw, n):
-    # any extras, or a dict of one tuple of keys in every row: a key's values
-    # may all be floats
-    if draw(st.booleans()):
-        return _column(draw, n, EXTRAS, object)
-    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
-    columns = [draw(st.lists(draw(st.sampled_from([FLOATS, POOL, ATOMS])), min_size=n, max_size=n))
-               for _ in keys]
-    return np.fromiter((dict(zip(keys, values)) for values in zip(*columns)), object, n)
+    # named columns, none to three: a float column (of any floats or a few),
+    # or an object column of atoms, either of which may be a broadcast
+    names = draw(st.lists(TEXT, max_size=3, unique=True))
+    return {name: _column(draw, n, FLOATS, float) if draw(st.booleans())
+            else _column(draw, n, ATOMS, object) for name in names}
 
 
 @st.composite
@@ -388,7 +409,7 @@ def records(draw, lengths):
     or a (rows, positions) array whose positions each hold values of one
     kind; a site position may hold one object in every row or a few shared
     objects, and the other columns may repeat a few values or be broadcasts.
-    Its extras may be dicts of one tuple of keys. Its rows may all pass or all
+    Its extras are named float or object columns. Its rows may all pass or all
     fail, and it may share its floats with the records after it."""
     n = draw(lengths)
     k = draw(st.none() | st.integers(0, 3))
@@ -436,15 +457,16 @@ def test_writers_match_one_json_dumps_per_row_at_the_chunk_size(tmp_path, n):
     kinds = ["v\u00e9", 1, 1.0, True, -0.0]
     mixed = site_reports("a", [kinds[i % 5] for i in range(n)],
                          np.where(rows % 2, -0.0, rows * 0.1), 1.0,
-                         extras=[{"i": i} if i % 3 else None for i in range(n)])
+                         extras={"i": [i if i % 3 else None for i in range(n)]})
     lists = site_reports("b", [[f"v{i % 7}", (0.0, -0.0, i * 0.5)[i % 3], "w"]
                                for i in range(n)], np.nan, rows / 3.0)
     empty = site_reports("c", [[] for _ in range(n)], rows * 0.5, 1.0)
-    # harnack's [x, t1, y, t2] with a few shared times, and dicts of one key set
+    # harnack's [x, t1, y, t2] with a few shared times, and extra columns of
+    # objects, floats and one broadcast float
     t1, t2 = 0.5, 2.0
     times = site_reports("h", [[f"x{i % 7}", (t1, t2)[i % 2], f"y{i % 5}", t2] for i in range(n)],
-                         rows * 0.25, 1.0, extras=[{"tighter": ("current", "prior")[i % 2],
-                                                    "rel": i / 7.0, "f": -0.0} for i in range(n)])
+                         rows * 0.25, 1.0, extras={"tighter": np.where(rows % 2, "prior", "current"),
+                                                   "rel": rows / 7.0, "f": np.array(-0.0)})
     assert lists.site.shape == (n, 3) and empty.site.shape == (n, 0)
     recs = [mixed, lists, empty, times]
     _assert_writers_match_oracle(tmp_path, recs, {})
@@ -548,8 +570,7 @@ def test_writer_formats_each_float_of_a_function_record_once(monkeypatch):
         for r in cli._run_suite(g, suite, [0.1, 1.0], 0, 1e-12, 4):
             formatted.clear()
             write_jsonl_rows(io.StringIO(), [r])
-            extra = [np.array([v for e in r.extra.tolist() for v in (e or {}).values()
-                               if type(v) is float]).view(np.int64)]
+            extra = [col.view(np.int64) for col in r.extra.values() if col.dtype == float]
             assert np.array_equal(np.sort(np.concatenate(formatted)),
                                   np.unique(np.concatenate([_float_bits([r]), *extra]))), suite
 

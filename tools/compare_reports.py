@@ -27,7 +27,10 @@ volume,harnack,gradient --t 0.5,2`` (a list not in report order; on
 0,1`` (harnack skipped, and on ``verify-stiff`` kernel-bounds and volume
 too); on the ``kernel-mc`` graph, ``kernel --t 1 --mc 300`` runs, and on
 the quoted-ids graph ``kernel --t 0.1,1``, ``kernel --t 1 --mc 300`` and
-``verify --suite all --format csv``.
+``verify --suite all --format csv``. Last, each tree's narrative demos
+(``demos/01_gradient_estimate.py``, ``02_heat_kernel_bounds.py`` and
+``03_random_walk.py``) run with its ``src``, and their stdout, stderr and
+exit code are compared (they write no report).
 Below the table, each JSONL report that differs gets the number of differing
 lines per check, compared line by line (the config and summary lines count
 under ``config`` and ``summary``). Exits 1 if any output differs, else 0.
@@ -58,6 +61,7 @@ QUOTED_IDS = ["a,b", 'say "hi"', " lead", "two\nlines", "été", "plain"]
 OWN_RUNS = {"kernel-mc.json": [("kernel", "--t", "1", "--mc", "300")],
             "quoted-ids.json": [("kernel", "--t", "0.1,1"), ("kernel", "--t", "1", "--mc", "300"),
                                 ("verify", "--suite", "all", "--format", "csv")]}
+DEMOS = ("01_gradient_estimate.py", "02_heat_kernel_bounds.py", "03_random_walk.py")
 
 
 def write_graphs(head: Path, work: Path) -> list:
@@ -94,7 +98,8 @@ def write_graphs(head: Path, work: Path) -> list:
 
 
 def commands(graphs: list) -> list:
-    """(label, argv after the program, report suffix) of each comparison."""
+    """(label, argv after the program, report suffix) of each comparison; a
+    demo's argv is its script name, and its suffix None."""
     out = []
     for graph in graphs:
         if runs := OWN_RUNS.get(Path(graph).name):
@@ -111,16 +116,18 @@ def commands(graphs: list) -> list:
             out += [(f"`verify --suite {suites} --t {times}` on {graph}",
                      ["verify", "--graph", graph, "--suite", suites, "--t", times], "jsonl")
                     for suites, times in SUITE_RUNS]
-    return out
+    return out + [(f"`demos/{demo}`", [demo], None) for demo in DEMOS]
 
 
-def run(tree: Path, work: Path, argv: list, report: str) -> tuple:
-    """(report path or None, stdout, stderr, exit code) of one command on tree."""
+def run(tree: Path, work: Path, argv: list, report) -> tuple:
+    """(report path or None, stdout, stderr, exit code) of one command on tree:
+    graphheat's CLI writing the report, or with report None, tree's demo argv[0]."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "graphheat.cli", *argv, "--out", report],
-                          cwd=work, env=env, capture_output=True)
-    path = work / report
-    return path if path.exists() else None, proc.stdout, proc.stderr, proc.returncode
+    program = (["-m", "graphheat.cli", *argv, "--out", report] if report
+               else [str(tree / "demos" / argv[0])])
+    proc = subprocess.run([sys.executable, *program], cwd=work, env=env, capture_output=True)
+    path = report and work / report
+    return path if path and path.exists() else None, proc.stdout, proc.stderr, proc.returncode
 
 
 def same(x, y) -> bool:
@@ -150,8 +157,8 @@ def main(argv=None) -> int:
     print("| command | report | stdout | stderr | exit code |")
     print("|---|---|---|---|---|")
     for label, cmd, suffix in commands(write_graphs(head, work)):
-        a = run(base, work, cmd, f"base.{suffix}")
-        b = run(head, work, cmd, f"head.{suffix}")
+        a = run(base, work, cmd, suffix and f"base.{suffix}")
+        b = run(head, work, cmd, suffix and f"head.{suffix}")
         cells = ["identical" if same(x, y) else "DIFFERENT" for x, y in zip(a, b)]
         cells[3] += f" ({a[3]}, {b[3]})" if a[3] != b[3] else f" ({a[3]})"
         differ += any(cell.startswith("DIFFERENT") for cell in cells)
