@@ -398,12 +398,20 @@ def _float_texts():
     return texts
 
 
+def _upper_quantile(p: float) -> float:
+    """The standard normal's upper p-quantile, z with 1/2 erfc(z/sqrt(2)) = p, 0 < p < 1,
+    by bisection to adjacent floats: erfc stays accurate in the tail, where 1 - p rounds."""
+    lo, hi = -40.0, 40.0  # 1/2 erfc(40/sqrt(2)) underflows to 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if 0.5 * math.erfc(mid / math.sqrt(2.0)) > p else (lo, mid)
+    return hi
+
+
 def cmd_kernel(args) -> int:
-    from statistics import NormalDist  # only here: it loads decimal and fractions
     g = args.loaded_graph
     # Bonferroni split of MC_ALPHA over every (source, target, time) cell
     cells = max(g.n**2 * len(args.times), 1)
-    z = NormalDist().inv_cdf(1.0 - MC_ALPHA / (2 * cells))
+    z = _upper_quantile(MC_ALPHA / (2 * cells))
     consistent = True
     header = ["t", "x", "y", "p"] + ["p_hat", "half_width", "n_walks", "seed"] * bool(args.mc)
     ids = list(map(reports._csv_field, g.ids))  # each id as csv.writer quotes it

@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ class UnreachableError(ValueError):
     """A distance was requested between vertices in different components."""
 
 
-@dataclass(frozen=True)
-class GraphConstants:
+class GraphConstants(NamedTuple):
     """Global sup/inf quantities of a weighted graph with measure.
 
     d_mu    = max_x deg(x)/mu(x)
@@ -101,9 +100,8 @@ class WeightedGraph:
         rows, cols = np.array(sorted(weights), dtype=np.intp).reshape(-1, 2).T.copy()
         w = np.array([weights[p] for p in zip(rows.tolist(), cols.tolist())])
         self.edges = (rows, cols, w, np.searchsorted(rows, np.arange(n + 1)))
-        with np.errstate(over="ignore"):  # an infinite degree is rejected below
-            self.degrees = np.zeros(n)
-            np.add.at(self.degrees, rows, w)
+        # float even without edges; an infinite degree is rejected below
+        self.degrees = np.bincount(rows, weights=w, minlength=n).astype(float, copy=False)
 
         if measure_mode == "unit":
             mu_arr = np.ones(n)

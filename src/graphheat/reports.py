@@ -8,9 +8,9 @@ import json
 import operator
 import os
 import shutil
-from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import compress, count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +19,9 @@ DEFAULT_REL_TOL = 1e-9
 
 # the fields of a report row: JSON key order and CSV columns
 FIELDS = ("check", "site", "lhs", "rhs", "slack", "pass", "abs_tol", "rel_tol")
+_COLUMNS = ("check", "site", "lhs", "rhs", "abs_tol", "rel_tol")  # Reports' arrays, in order
 
 
-@dataclass(slots=True, eq=False)
 class Reports:
     """Verified inequalities lhs <= rhs, one row per site, as equal-length
     columns: float arrays lhs, rhs, abs_tol, rel_tol, object arrays check and
@@ -33,20 +33,14 @@ class Reports:
     kernel's source blocks do: a writer keeps their texts for those records.
     """
 
-    check: np.ndarray
-    site: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    abs_tol: np.ndarray
-    rel_tol: np.ndarray
-    extra: dict
-    slack: np.ndarray = field(init=False)
-    passed: np.ndarray = field(init=False)
-    shares_floats: bool = field(init=False, default=False)
+    __slots__ = (*_COLUMNS, "extra", "slack", "passed", "shares_floats")
 
-    def __post_init__(self):
-        self.slack = self.rhs - self.lhs
-        self.passed = self.slack >= -(self.abs_tol + self.rel_tol * np.abs(self.rhs))
+    def __init__(self, check, site, lhs, rhs, abs_tol, rel_tol, extra):
+        self.check, self.site, self.lhs, self.rhs = check, site, lhs, rhs
+        self.abs_tol, self.rel_tol, self.extra = abs_tol, rel_tol, extra
+        self.slack = rhs - lhs
+        self.passed = self.slack >= -(abs_tol + rel_tol * np.abs(rhs))
+        self.shares_floats = False
 
     def __len__(self) -> int:
         return len(self.check)
@@ -81,13 +75,11 @@ def concat(parts) -> Reports:
     parts = list(parts) or [site_reports("", [], [], [])]
     if len(names := {tuple(p.extra) for p in parts}) > 1:
         raise ValueError(f"records of different extra names: {sorted(names)}")
-    return Reports(*(np.concatenate([getattr(p, f.name) for p in parts])
-                     for f in fields(Reports) if f.init and f.name != "extra"),
+    return Reports(*(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
                    {k: np.concatenate([p.extra[k] for p in parts]) for k in parts[0].extra})
 
 
-@dataclass(slots=True, eq=False)
-class Part:
+class Part(NamedTuple):
     """Rows already written, in the format of the writer that meets it, at the
     start of the binary file `file` (None when only summarized), and their
     summary. Summarize and the writers take it in place of its records: its

@@ -10,15 +10,18 @@ nonnegative with unit row sums and
 truncated once the Poisson(lam t) tail drops below tol; with mu = deg and
 lam = 1 it is the lazy-walk series p_k/deg. For large lam t the series sums
 E ~ exp((t/2^s)L) to tol/2^s, s = ceil(log2(lam t)), and E is squared s
-times. Terms stay nonnegative; truncation stays <= tol in max norm (E and
-exp((t/2^s)L) have row sums <= 1); rounding grows like 2^s n u, u = 2**-53.
+times; after each square its diagonal is reset to 1 minus the row's
+off-diagonal sum (Grassmann, Taksar & Heyman 1985), so row sums stay 1 to
+rounding at any lam t, where squared row sums (1 - d)^(2^s) would drain to 0.
+Off-diagonal terms stay sums of nonnegative products; truncation stays <= tol
+in max norm; rounding grows like 2^s n u, u = 2**-53.
 A dense spectral oracle provides an independent second route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +39,7 @@ def check_time(t, positive: bool = False) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class HeatKernel:
+class HeatKernel(NamedTuple):
     """p(t, x, y) as a dense matrix in the graph's vertex order."""
 
     t: float
@@ -110,6 +112,8 @@ def _uniformized_apply(g: WeightedGraph, t: float, tol: float, operand=None) -> 
         F = np.empty_like(E)
         for _ in range(s):
             E, F = np.matmul(E, E, out=F), E
+            np.fill_diagonal(E, 0.0)  # then 1 - the row's off-diagonal sum, as exp(tL)'s rows
+            np.fill_diagonal(E, 1.0 - E.sum(axis=1))
         return E if identity else E @ operand
     return _series(Q, lt, tol, np.eye(g.n) if identity else operand.astype(float))
 

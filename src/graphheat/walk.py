@@ -10,7 +10,7 @@ series and spectral kernels on graphs of any size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .semigroup import check_time
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-@dataclass(frozen=True)
-class WalkEstimate:
+class WalkEstimate(NamedTuple):
     """Endpoint counts of n_walks independent walks from one source."""
 
     t: float

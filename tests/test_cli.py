@@ -1382,10 +1382,49 @@ def test_cli_import_loads_no_scipy():
     assert _loaded_by_cli_import("scipy") == "[]"
 
 
-def test_cli_import_loads_no_statistics():
-    # NormalDist is needed only by kernel's --mc verdict; statistics would load
-    # decimal and fractions into every verify parent too
-    assert _loaded_by_cli_import("statistics", "decimal", "fractions") == "[]"
+def test_cli_import_loads_no_statistics(tmp_path):
+    # kernel's --mc z comes from math.erfc, not statistics (which loads decimal
+    # and fractions), and the records are NamedTuples, not dataclasses: neither
+    # import nor a fresh kernel --mc run loads any of them
+    unwanted = ("statistics", "decimal", "fractions", "dataclasses")
+    assert _loaded_by_cli_import(*unwanted) == "[]"
+    script = f"""
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split('.')[0] in {unwanted!r})
+import graphheat
+print(loaded())
+from graphheat import cli
+assert cli.main(["kernel", "--graph", {str(ROOT / "example_graphs" / "grid3x3.json")!r},
+                 "--t", "1", "--mc", "300", "--out", {str(tmp_path / "k.csv")!r}]) == 0
+print(loaded())
+"""
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("p", [0.4, 1e-3, 1e-5, 1e-6])
+def test_mc_quantile_matches_normal_dist(p):
+    # statistics' inv_cdf(1 - p) rounds 1 - p, which costs it accuracy only below 1e-6
+    from statistics import NormalDist
+    assert cli._upper_quantile(p) == pytest.approx(NormalDist().inv_cdf(1.0 - p), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.4, 1e-3, 1.2e-7, 5e-13, 1e-17, 1e-100, 1e-300])
+def test_mc_quantile_solves_the_normal_tail(p):
+    # 1/2 erfc(z/sqrt(2)) = p to full precision, past where 1 - p rounds to 1
+    z = cli._upper_quantile(p)
+    assert 0.5 * math.erfc(z / math.sqrt(2.0)) == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", ["1e20", "1e300"])
+def test_verify_passes_at_huge_times(tmp_path, t):
+    # the squaring route keeps each row's mass, so the kernel nears 1/Vol and no
+    # slack turns NaN, as it would if row sums 1 - d were squared to (1 - d)^(2^s) ~ 0
+    assert run(["verify", "--graph", ROOT / "example_graphs" / "grid3x3.json", "--suite", "all",
+                "--t", t, "--out", tmp_path / "r.jsonl"]) == 0
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

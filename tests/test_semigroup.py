@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import k2, log_uniform, random_graph, stiff_path
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve, generate,
-                       heat_kernel, semigroup, verify_harnack)
+                       heat_kernel, load_graph, semigroup, verify_harnack)
 from graphheat.semigroup import DENSE_ORACLE_CAP
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_kernel_at_time_zero():
@@ -343,6 +346,29 @@ def test_very_stiff_kernel_within_derived_bound():
     assert np.abs(E - oracle).max() <= series + _oracle_bound(g, t)
 
 
+def test_squaring_keeps_the_mass_at_huge_times():
+    # each square's diagonal is 1 minus its row's off-diagonal sum: without it the
+    # row sums (1 - d)^(2^s) drain to 0, and the kernel reads 0 for every pair
+    g = load_graph(ROOT / "example_graphs" / "grid3x3.json")  # mu = deg, Vol = 24
+    K = heat_kernel(g, 1e300)  # lam t = 1e300: squared 997 times
+    np.testing.assert_allclose(K.matrix, 1 / 24, rtol=1e-12, atol=0)
+    K = heat_kernel(stiff_path(1e-12), 100.0)  # lam t = 2e14
+    assert np.abs(K.mass() - 1.0).max() <= 1e-13
+
+
+def test_two_vertex_kernel_matches_its_closed_form_at_large_lam_t():
+    # rates a = w/mu(a) and b = w/mu(b): exp(tL)[a, b] = a/(a + b) (1 - e^{-(a + b) t})
+    g, tol = k2(mu=(1.0, 3.0), w=2.0), 1e-13
+    a, b = 2.0, 2.0 / 3.0
+    for lt in (1e-3, 0.5, 10.0, 1e3, 1e6, 1e9, 1e12):
+        t = lt / a
+        decay = -math.expm1(-(a + b) * t)
+        want = np.array([[1 - a / (a + b) * decay, a / (a + b) * decay],
+                         [b / (a + b) * decay, 1 - b / (a + b) * decay]])
+        E = heat_kernel(g, t, tol=tol).matrix * g.mu
+        assert np.all(np.abs(E - want) <= tol + 1e-12 * want), lt
+
+
 # -- reused work buffers ---------------------------------------------------------
 
 def _traced_peak(work):
@@ -367,8 +393,9 @@ def test_heat_kernel_holds_four_matrices(t):
 
 
 def _allocating_apply(g, t, tol, operand=None):
-    """exp(tL) @ operand as the engine computed it with a new array for every
-    product, term and square; the buffered engine must match it bit for bit."""
+    """exp(tL) @ operand as the engine computes it, with a new array for every
+    product, term and square, and each square's diagonal reset to 1 minus its
+    row's off-diagonal sum; the buffered engine must match it bit for bit."""
     def series(Q, lt, tol, operand):
         log_lt = math.log(lt)
         cur = operand.astype(float)
@@ -402,6 +429,8 @@ def _allocating_apply(g, t, tol, operand=None):
         E = series(Q, step, math.ldexp(tol, -s), np.eye(g.n))
         for _ in range(s):
             E = E @ E
+            off = E - np.diag(np.diag(E))
+            E = off + np.diag(1.0 - off.sum(axis=1))
         return E if identity else E @ operand
     return series(Q, lt, tol, operand)
 

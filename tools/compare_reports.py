@@ -27,10 +27,12 @@ volume,harnack,gradient --t 0.5,2`` (a list not in report order; on
 0,1`` (harnack skipped, and on ``verify-stiff`` kernel-bounds and volume
 too); on the ``kernel-mc`` graph, ``kernel --t 1 --mc 300`` runs, and on
 the quoted-ids graph ``kernel --t 0.1,1``, ``kernel --t 1 --mc 300`` and
-``verify --suite all --format csv``. Last, each tree's narrative demos
-(``demos/01_gradient_estimate.py``, ``02_heat_kernel_bounds.py`` and
-``03_random_walk.py``) run with its ``src``, and their stdout, stderr and
-exit code are compared (they write no report).
+``verify --suite all --format csv``. On ``grid3x3.json``, ``verify --suite
+all --t 1e20`` and ``kernel --t 1e300`` also run, so the squaring route is
+compared where lam t is huge and the kernel has reached 1/Vol. Last, each
+tree's narrative demos (``demos/01_gradient_estimate.py``,
+``02_heat_kernel_bounds.py`` and ``03_random_walk.py``) run with its ``src``,
+and their stdout, stderr and exit code are compared (they write no report).
 Below the table, each JSONL report that differs gets the number of differing
 lines per check, compared line by line (the config and summary lines count
 under ``config`` and ``summary``). Exits 1 if any output differs, else 0.
@@ -61,6 +63,10 @@ QUOTED_IDS = ["a,b", 'say "hi"', " lead", "two\nlines", "été", "plain"]
 OWN_RUNS = {"kernel-mc.json": [("kernel", "--t", "1", "--mc", "300")],
             "quoted-ids.json": [("kernel", "--t", "0.1,1"), ("kernel", "--t", "1", "--mc", "300"),
                                 ("verify", "--suite", "all", "--format", "csv")]}
+# runs at a huge time (lam t past 1e20, on the squaring route) after a graph's
+# usual ones: the command's flags, then its report suffix
+LARGE_T_RUNS = {"grid3x3.json": [(("verify", "--suite", "all", "--t", "1e20"), "jsonl"),
+                                 (("kernel", "--t", "1e300"), "csv")]}
 DEMOS = ("01_gradient_estimate.py", "02_heat_kernel_bounds.py", "03_random_walk.py")
 
 
@@ -116,6 +122,8 @@ def commands(graphs: list) -> list:
             out += [(f"`verify --suite {suites} --t {times}` on {graph}",
                      ["verify", "--graph", graph, "--suite", suites, "--t", times], "jsonl")
                     for suites, times in SUITE_RUNS]
+        out += [(f"`{' '.join(flags)}` on {graph}", [flags[0], "--graph", graph, *flags[1:]],
+                 suffix) for flags, suffix in LARGE_T_RUNS.get(Path(graph).name, ())]
     return out + [(f"`demos/{demo}`", [demo], None) for demo in DEMOS]
 
 
