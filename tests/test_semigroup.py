@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import k2, log_uniform, random_graph, stiff_path
 from graphheat import (WeightedGraph, compose, dense_oracle, evolve, generate,
-                       heat_kernel, load_graph, semigroup, verify_harnack)
+                       heat_kernel, semigroup, verify_harnack)
 from graphheat.semigroup import DENSE_ORACLE_CAP
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_kernel_at_time_zero():
@@ -349,7 +346,7 @@ def test_very_stiff_kernel_within_derived_bound():
 def test_squaring_keeps_the_mass_at_huge_times():
     # each square's diagonal is 1 minus its row's off-diagonal sum: without it the
     # row sums (1 - d)^(2^s) drain to 0, and the kernel reads 0 for every pair
-    g = load_graph(ROOT / "example_graphs" / "grid3x3.json")  # mu = deg, Vol = 24
+    g = generate("grid", rows=3, cols=3, measure_mode="degree")  # Vol = 24
     K = heat_kernel(g, 1e300)  # lam t = 1e300: squared 997 times
     np.testing.assert_allclose(K.matrix, 1 / 24, rtol=1e-12, atol=0)
     K = heat_kernel(stiff_path(1e-12), 100.0)  # lam t = 2e14
